@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Profile the alternating-least-squares rank probe on reference states.
 
-Prints the best residual at each probed rank so the convergence cliff is
-visible: the residual stays large up to one below the product-term count
-and collapses at the count itself.  The flat triple's rank-2 row shows the
-border-rank plateau (small but firmly above the convergence tolerance).
+Prints the best residual at each probed rank, with the rule that stopped the
+probe and the sweeps it ran, so the convergence cliff is visible: the
+residual stays large up to one below the product-term count and collapses at
+the count itself.  The flat triple's rank-2 row shows the border-rank plateau
+(small but firmly above the convergence tolerance).
 """
 
 import argparse
@@ -22,7 +23,10 @@ def profile(name: str, state, max_rank: int, config: ProbeConfig) -> None:
     for r in range(1, max_rank + 1):
         probe = cp_rank_probe(t, r, config)
         marker = "converged" if probe.converged else ""
-        print(f"  r={r}: residual {probe.best_residual:.3e}  {marker}")
+        print(
+            f"  r={r}: residual {probe.best_residual:.3e}  "
+            f"stop {probe.stop_reason:<9} after {probe.sweeps:>4} sweeps  {marker}"
+        )
     print()
 
 

@@ -150,7 +150,7 @@ def _run_and_report(prepared, doc: dict, args) -> float:
 
 
 def _demo_prop3(args) -> int:
-    a = args.value if args.value is not None else 0.4
+    a = args.value
     prepared = prop3(a, args.placement)
     doc: dict = {"demo": "prop3", "a": a, "placement": args.placement}
     p = _run_and_report(prepared, doc, args)
@@ -244,6 +244,9 @@ def _cmd_demo(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.family != "prop3":
         print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
+        return 2
+    if args.points < 1:
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
         return 2
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []

@@ -33,9 +33,10 @@ def _as_spectrum(x, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float).ravel()
     if v.size == 0:
         raise NotAProbabilityVector(f"{name} is empty")
-    if v.min() < -1e-12:
-        raise NotAProbabilityVector(f"{name} has a negative entry ({v.min()!r})")
-    if abs(v.sum() - 1.0) > 1e-9:
+    # written so that NaN entries fail the checks too
+    if not v.min() >= -1e-12:
+        raise NotAProbabilityVector(f"{name} has a negative or NaN entry ({v.min()!r})")
+    if not abs(v.sum() - 1.0) <= 1e-9:
         raise NotAProbabilityVector(f"{name} sums to {v.sum()!r}, not 1")
     return np.clip(v, 0.0, None)
 

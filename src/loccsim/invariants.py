@@ -9,6 +9,7 @@ negative results heuristic.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,8 +20,9 @@ from .states import RANK_TOL, PureState
 
 CLASS_TOL = 1e-8
 
-# stall rules for the ALS loop: a restart is parked once its best residual
-# stops improving, absolutely or relative to its current size
+# stall rule for the ALS loop: a restart has stalled once its best residual
+# stops improving, absolutely or relative to its current size, over the last
+# _STALL_WINDOW sweeps; a stalled restart keeps sweeping with the batch
 _STALL_ABS = 1e-12
 _STALL_REL = 1e-4
 _STALL_WINDOW = 100
@@ -175,6 +177,8 @@ class RankProbeResult:
     restarts: int
     seed: int
     config: ProbeConfig
+    stop_reason: str  # "converged" | "stalled" | "cap", see cp_rank_probe
+    sweeps: int
 
     def to_dict(self) -> dict:
         return {
@@ -184,6 +188,8 @@ class RankProbeResult:
             "restarts": self.restarts,
             "seed": self.seed,
             "config": self.config.to_dict(),
+            "stop_reason": self.stop_reason,
+            "sweeps": self.sweeps,
         }
 
 
@@ -205,10 +211,20 @@ def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
 def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> RankProbeResult:
     """Best rank-``r`` CP fit over seeded restarts, run in lockstep.
 
-    All restarts iterate until individually stalled or the sweep cap is hit;
-    the reported residual is the best seen anywhere.  Restart initializations
-    are nested in ``r`` (rank r uses the leading r columns of a fixed draw),
-    which keeps the best residual monotone as the probed rank grows.
+    The restarts sweep together until the first of three stop rules holds:
+
+    - ``"converged"``: the best restart's residual is below ``fit_tol`` and
+      that restart has stalled;
+    - ``"stalled"``: every restart has stalled;
+    - ``"cap"``: ``max_iters`` sweeps have run.
+
+    A restart has stalled when its best residual gained less than
+    ``max(_STALL_ABS, _STALL_REL * best)`` over the last ``_STALL_WINDOW``
+    sweeps.  The reported residual is the best seen by any restart up to the
+    stop, so a converged probe reports the floor (about 1e-12) it stalled at.
+    Restart initializations are nested in ``r`` (rank r uses the leading r
+    columns of a fixed draw), which keeps the best residual monotone as the
+    probed rank grows, down to that floor.
     """
     if r < 1:
         raise ConstraintViolation("probed rank must be >= 1")
@@ -224,32 +240,42 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
         re = rng.standard_normal((nrest, d, cap))
         im = rng.standard_normal((nrest, d, cap))
         factors.append(np.ascontiguousarray(((re + 1j * im) / np.sqrt(2))[:, :, :r]))
-    unfolds = [_unfold(data, m) for m in range(n)]
+    others = [[o for o in range(n) if o != m] for m in range(n)]
+    unfolds_conj = [_unfold(data, m).conj() for m in range(n)]
+    target = _unfold(data, n - 1)[None]
+    grams = [f.conj().transpose(0, 2, 1) @ f for f in factors]
     eye = np.eye(r)
 
     best = np.full(nrest, np.inf)
-    history: list[np.ndarray] = []
-    last_kr = None
-    for _ in range(cfg.max_iters):
+    history: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW + 1)
+    stop_reason = "cap"
+    sweeps = 0
+    while sweeps < cfg.max_iters:
+        sweeps += 1
         for m in range(n):
-            others = [o for o in range(n) if o != m]
-            kr = _khatri_rao([factors[o] for o in others])
-            gram = np.ones((nrest, r, r), dtype=np.complex128)
-            for o in others:
-                gram = gram * (factors[o].conj().transpose(0, 2, 1) @ factors[o])
-            mttkrp = np.matmul(unfolds[m], kr.conj())
+            kr = _khatri_rao([factors[o] for o in others[m]])
+            gram = grams[others[m][0]]
+            for o in others[m][1:]:
+                gram = gram * grams[o]
+            # conj(conj(U) @ kr) == U @ conj(kr), without conjugating the larger kr
+            mttkrp = np.matmul(unfolds_conj[m], kr).conj()
             ridge = (_RIDGE * np.einsum("rkk->r", gram).real / r + 1e-30)[:, None, None]
-            gram = gram + ridge * eye
             # normal equations: F conj(G) = M, i.e. G F^T = M^T since G is Hermitian
-            factors[m] = np.linalg.solve(gram, mttkrp.transpose(0, 2, 1)).transpose(0, 2, 1)
-            last_kr = kr
-        recon = factors[n - 1] @ last_kr.transpose(0, 2, 1)
-        res = np.linalg.norm((recon - unfolds[n - 1][None]).reshape(nrest, -1), axis=1)
+            rhs = np.ascontiguousarray(mttkrp.transpose(0, 2, 1))
+            factors[m] = np.linalg.solve(gram + ridge * eye, rhs).transpose(0, 2, 1)
+            grams[m] = factors[m].conj().transpose(0, 2, 1) @ factors[m]
+        recon = factors[n - 1] @ kr.transpose(0, 2, 1)
+        res = np.linalg.norm((recon - target).reshape(nrest, -1), axis=1)
         best = np.minimum(best, res)
-        history.append(best.copy())
+        history.append(best)
         if len(history) > _STALL_WINDOW:
-            gain = history[-_STALL_WINDOW - 1] - best
-            if np.all(gain < np.maximum(_STALL_ABS, _STALL_REL * best)):
+            stalled = history[0] - best < np.maximum(_STALL_ABS, _STALL_REL * best)
+            lead = int(np.argmin(best))
+            if best[lead] < cfg.fit_tol and stalled[lead]:
+                stop_reason = "converged"
+                break
+            if np.all(stalled):
+                stop_reason = "stalled"
                 break
     best_residual = float(best.min())
     return RankProbeResult(
@@ -259,6 +285,8 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
         restarts=cfg.restarts,
         seed=cfg.seed,
         config=cfg,
+        stop_reason=stop_reason,
+        sweeps=sweeps,
     )
 
 

@@ -109,7 +109,8 @@ class PureState:
                 f"amplitude vector must have length {self.register.dim}, got {amps.shape}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_TOL:
+        # written so that a NaN norm fails the check too
+        if not abs(nrm - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"state norm {nrm!r} deviates from 1 by > {NORM_TOL}")
         amps = amps.copy()
         amps.setflags(write=False)

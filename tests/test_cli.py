@@ -146,6 +146,17 @@ def test_classify_malformed_json(tmp_path):
     assert main(["classify", str(garbled)]) == 2
 
 
+def test_classify_nan_amplitude(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    save_state(w_state(ABC), path)
+    doc = json.loads(path.read_text())
+    doc["amplitudes"][1] = [float("nan"), 0.0]
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # demos and sweep (only the fast ones here)
 
@@ -204,3 +215,12 @@ def test_sweep(tmp_path, capsys):
 
 def test_sweep_unknown_family():
     assert main(["sweep", "orbit", "--from", "0.4", "--to", "0.45"]) == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_sweep_rejects_empty_grid(points, capsys):
+    rc = main(["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", points])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

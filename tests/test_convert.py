@@ -68,6 +68,13 @@ def test_vidal_validation():
         vidal_probability([], [0.5, 0.5])
 
 
+def test_vidal_rejects_nan():
+    with pytest.raises(NotAProbabilityVector):
+        vidal_probability([np.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(NotAProbabilityVector):
+        vidal_probability([0.5, 0.5], [np.nan, np.nan])
+
+
 @settings(max_examples=200, deadline=None)
 @given(spectra())
 def test_vidal_self_conversion_is_certain(alpha):

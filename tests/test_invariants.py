@@ -232,11 +232,32 @@ def test_probe_residual_monotone_in_rank():
 
 def test_probe_result_serialization():
     t = PartyTensor.from_state(ghz(ABC))
-    doc = cp_rank_probe(t, 2).to_dict()
+    probe = cp_rank_probe(t, 2)
+    doc = probe.to_dict()
     assert doc["tested_rank"] == 2
     assert doc["converged"] is True
     assert doc["restarts"] == 32
     assert doc["config"]["max_iters"] == 2000
+    assert (doc["stop_reason"], doc["sweeps"]) == (probe.stop_reason, probe.sweeps)
+
+
+def test_probe_stops_once_converged():
+    # the best restart reaches its floor and stalls long before the cap
+    t = PartyTensor.from_state(ghz(ABC))
+    probe = cp_rank_probe(t, 2)
+    assert probe.converged
+    assert probe.stop_reason == "converged"
+    assert probe.sweeps < probe.config.max_iters
+
+
+def test_probe_non_converging_runs_on():
+    # the early stop needs a converged restart, so a border-rank swamp keeps
+    # sweeping; its residual is pinned to guard the sweep's arithmetic
+    t = PartyTensor.from_state(w_state(ABC))
+    probe = cp_rank_probe(t, 2)
+    assert not probe.converged
+    assert probe.stop_reason in ("cap", "stalled")
+    assert probe.best_residual == pytest.approx(0.004474859319990208, rel=1e-6)
 
 
 def test_estimate_w_and_flat_pair():

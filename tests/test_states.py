@@ -82,6 +82,13 @@ def test_purestate_validation():
         PureState(ABC, np.full(8, 0.5))  # norm sqrt(2)
 
 
+def test_purestate_rejects_nan():
+    amps = np.zeros(8, dtype=complex)
+    amps[0] = np.nan
+    with pytest.raises(ConstraintViolation):
+        PureState(ABC, amps)
+
+
 def test_amplitudes_frozen():
     s = ghz(ABC)
     with pytest.raises(ValueError):
