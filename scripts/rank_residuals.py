@@ -2,9 +2,9 @@
 """Profile the alternating-least-squares rank probe on reference states.
 
 Prints the best residual at each probed rank, with the rule that stopped the
-probe and the sweeps it ran, so the convergence cliff is visible: the
-residual stays large up to one below the product-term count and collapses at
-the count itself.  The flat triple's rank-2 row shows the border-rank plateau
+probe, the sweeps it ran and its wall time, so the convergence cliff is
+visible: the residual stays large up to one below the product-term count and
+collapses at the count itself.  The flat triple's rank-2 row shows the border-rank plateau
 (small but firmly above the convergence tolerance).
 """
 
@@ -25,7 +25,7 @@ def profile(name: str, state, max_rank: int, config: ProbeConfig) -> None:
         marker = "converged" if probe.converged else ""
         print(
             f"  r={r}: residual {probe.best_residual:.3e}  "
-            f"stop {probe.stop_reason:<9} after {probe.sweeps:>4} sweeps  {marker}"
+            f"stop {probe.stop_reason:<9} after {probe.sweeps:>4} sweeps in {probe.wall_s:6.3f} s  {marker}"
         )
     print()
 

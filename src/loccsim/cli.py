@@ -103,11 +103,15 @@ def _cmd_bound(args) -> int:
 def _cmd_verdict(args) -> int:
     src = load_state(args.source)
     dst = load_state(args.target)
-    probe = default_rank_probe(ProbeConfig(seed=args.seed))
-    v = catalysis_verdict(src, dst, rank_probe=probe)
+    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
     _print_verdict(v)
     _emit(args, v.to_dict())
     return 3 if v.feasible == IMPOSSIBLE else 0
+
+
+def _rank_probe(args):
+    cfg = ProbeConfig() if args.seed is None else ProbeConfig(seed=args.seed)
+    return default_rank_probe(cfg)
 
 
 def _print_verdict(v) -> None:
@@ -173,8 +177,7 @@ def _demo_prop3(args) -> int:
 
 def _demo_prop1(args) -> int:
     src, dst = bipartite_catalysis_pair()
-    probe = default_rank_probe(ProbeConfig(seed=args.seed))
-    v = catalysis_verdict(src, dst, rank_probe=probe)
+    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
     _print_verdict(v)
     _emit(args, {"demo": "prop1", **v.to_dict()})
     return 0
@@ -186,8 +189,7 @@ def _demo_prop2(args) -> int:
         print(f"error: demo prop2 takes catalyst w or ghz, got {catalyst!r}", file=sys.stderr)
         return 2
     src, dst = tripartite_catalysis_pair(catalyst)
-    probe = default_rank_probe(ProbeConfig(seed=args.seed))
-    v = catalysis_verdict(src, dst, rank_probe=probe)
+    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
     print(f"catalyst: {catalyst}")
     _print_verdict(v)
     _emit(args, {"demo": "prop2", "catalyst": catalyst, **v.to_dict()})
@@ -225,6 +227,9 @@ def _demo_ghz2epr(args) -> int:
     return 0
 
 
+# the demos that run the rank probe, so the only ones --seed acts on
+_PROBE_DEMOS = ("prop1", "prop2")
+
 _DEMOS = {
     "prop1": _demo_prop1,
     "prop2": _demo_prop2,
@@ -237,6 +242,9 @@ _DEMOS = {
 def _cmd_demo(args) -> int:
     if args.which == "prop3" and args.value is None:
         print("error: demo prop3 needs the weight parameter, e.g. demo prop3 0.4", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.which not in _PROBE_DEMOS:
+        print(f"error: demo {args.which} runs no rank probe, so --seed has no effect", file=sys.stderr)
         return 2
     return _DEMOS[args.which](args)
 
@@ -277,11 +285,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", metavar="PATH", help="also write a JSON report")
+
+    def seed(p):
         p.add_argument(
             "--seed",
             type=int,
-            default=ProbeConfig().seed,
-            help="seed for the randomized rank probes",
+            default=None,
+            help=f"seed for the randomized rank probes (default {ProbeConfig().seed:#x})",
         )
 
     p = sub.add_parser("classify", help="SLOCC class of a saved state")
@@ -299,6 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("source", help="source state JSON file")
     p.add_argument("target", help="target state JSON file")
     common(p)
+    seed(p)
     p.set_defaults(func=_cmd_verdict)
 
     p = sub.add_parser("run", help="run a protocol file")
@@ -316,6 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--placement", choices=["BC", "AC"], default="BC")
     common(p)
+    seed(p)
     p.set_defaults(func=_cmd_demo)
 
     p = sub.add_parser("sweep", help="tabulate a protocol family over a parameter grid")

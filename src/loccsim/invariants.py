@@ -9,13 +9,16 @@ negative results heuristic.
 
 from __future__ import annotations
 
+import os
+import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Sequence
+from contextlib import closing
+from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ConstraintViolation, WrongArity
+from .errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
 from .states import RANK_TOL, PureState
 
 CLASS_TOL = 1e-8
@@ -179,6 +182,7 @@ class RankProbeResult:
     config: ProbeConfig
     stop_reason: str  # "converged" | "stalled" | "cap", see cp_rank_probe
     sweeps: int
+    wall_s: float = field(compare=False)  # timing, so equality ignores it
 
     def to_dict(self) -> dict:
         return {
@@ -190,6 +194,7 @@ class RankProbeResult:
             "config": self.config.to_dict(),
             "stop_reason": self.stop_reason,
             "sweeps": self.sweeps,
+            "wall_s": self.wall_s,
         }
 
 
@@ -200,11 +205,11 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    # mats: (R, d_i, r) each; columnwise Kronecker with the first factor slowest
+    # mats: (d_i, R, r) each; columnwise Kronecker per restart with the first
+    # factor slowest, as one (prod d_i, R, r) array
     out = mats[0]
     for m in mats[1:]:
-        nrest, da, ncol = out.shape
-        out = (out[:, :, None, :] * m[:, None, :, :]).reshape(nrest, da * m.shape[1], ncol)
+        out = (out[:, None] * m[None]).reshape(-1, *m.shape[1:])
     return out
 
 
@@ -228,6 +233,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     """
     if r < 1:
         raise ConstraintViolation("probed rank must be >= 1")
+    start = time.perf_counter()
     cfg = config or ProbeConfig()
     data = t.data
     dims = data.shape
@@ -235,16 +241,20 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     nrest = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
     cap = max(t.size, r)
-    factors = []
+    # factor m is kept restart-major, shape (d_m, R, r), so the Khatri-Rao
+    # product of the other factors is one (P, R*r) matrix and each MTTKRP is
+    # a single GEMM; `solved[m]` is the same factor as the (R, r, d_m) array
+    # the normal equations return
+    solved = []
     for d in dims:
         re = rng.standard_normal((nrest, d, cap))
         im = rng.standard_normal((nrest, d, cap))
-        factors.append(np.ascontiguousarray(((re + 1j * im) / np.sqrt(2))[:, :, :r]))
+        solved.append(np.ascontiguousarray(((re + 1j * im) / np.sqrt(2))[:, :, :r]).transpose(0, 2, 1))
+    factors = [np.ascontiguousarray(f.transpose(2, 0, 1)) for f in solved]
     others = [[o for o in range(n) if o != m] for m in range(n)]
     unfolds_conj = [_unfold(data, m).conj() for m in range(n)]
     target = _unfold(data, n - 1)[None]
-    grams = [f.conj().transpose(0, 2, 1) @ f for f in factors]
-    eye = np.eye(r)
+    grams = [f.conj() @ f.transpose(0, 2, 1) for f in solved]
 
     best = np.full(nrest, np.inf)
     history: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW + 1)
@@ -254,17 +264,20 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
         sweeps += 1
         for m in range(n):
             kr = _khatri_rao([factors[o] for o in others[m]])
-            gram = grams[others[m][0]]
-            for o in others[m][1:]:
-                gram = gram * grams[o]
+            first, *rest = others[m]
+            gram = grams[first].copy()
+            for o in rest:
+                gram *= grams[o]
             # conj(conj(U) @ kr) == U @ conj(kr), without conjugating the larger kr
-            mttkrp = np.matmul(unfolds_conj[m], kr).conj()
-            ridge = (_RIDGE * np.einsum("rkk->r", gram).real / r + 1e-30)[:, None, None]
+            mttkrp = (unfolds_conj[m] @ kr.reshape(kr.shape[0], -1)).conj()
+            # ridge added in place on the diagonal (a strided view of gram)
+            gram.reshape(nrest, -1)[:, :: r + 1] += _RIDGE * np.einsum("rkk->r", gram).real[:, None] / r + 1e-30
             # normal equations: F conj(G) = M, i.e. G F^T = M^T since G is Hermitian
-            rhs = np.ascontiguousarray(mttkrp.transpose(0, 2, 1))
-            factors[m] = np.linalg.solve(gram + ridge * eye, rhs).transpose(0, 2, 1)
-            grams[m] = factors[m].conj().transpose(0, 2, 1) @ factors[m]
-        recon = factors[n - 1] @ kr.transpose(0, 2, 1)
+            rhs = np.ascontiguousarray(mttkrp.reshape(-1, nrest, r).transpose(1, 2, 0))
+            solved[m] = np.linalg.solve(gram, rhs)
+            factors[m] = np.ascontiguousarray(solved[m].transpose(2, 0, 1))
+            grams[m] = solved[m].conj() @ solved[m].transpose(0, 2, 1)
+        recon = solved[n - 1].transpose(0, 2, 1) @ kr.transpose(1, 2, 0)
         res = np.linalg.norm((recon - target).reshape(nrest, -1), axis=1)
         best = np.minimum(best, res)
         history.append(best)
@@ -287,6 +300,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
         config=cfg,
         stop_reason=stop_reason,
         sweeps=sweeps,
+        wall_s=time.perf_counter() - start,
     )
 
 
@@ -308,6 +322,94 @@ class ProductTermEstimate:
         }
 
 
+# The most ranks a scan keeps in flight.  Two is the width that was measured
+# (wall time, CPU seconds and worker RSS, on a 2-CPU host); a wider look-ahead
+# mostly runs ranks above the answer only to discard them.
+_LOOKAHEAD = 2
+
+# the code of the module's own probe; a replaced cp_rank_probe (a wrapper, a
+# test double) has other code, even where it copies the name and docstring
+_OWN_PROBE_CODE = cp_rank_probe.__code__
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _probe_task(conn, t: PartyTensor, r: int, cfg: ProbeConfig) -> None:
+    # runs in a forked worker and sends back the probe, or the error it raised
+    try:
+        outcome = (cp_rank_probe(t, r, cfg), None)
+    except Exception as exc:
+        outcome = (None, exc)
+    conn.send(outcome)
+
+
+def _rank_probes(t: PartyTensor, ranks: range, cfg: ProbeConfig) -> Iterator[RankProbeResult]:
+    """``cp_rank_probe(t, r, cfg)`` for each ``r`` in ``ranks``, in rank order.
+
+    Where it can, it keeps the next ranks in flight in forked worker
+    processes, one probe each.  Closing the generator kills and reaps the
+    workers still running; a worker that dies before it sends its result
+    raises ProbeWorkerLost.
+    """
+    import multiprocessing  # here, not at module load: it costs every import ~20 ms
+
+    width = min(_LOOKAHEAD, _usable_cpus(), len(ranks))
+    if (
+        width < 2
+        # a forked worker inherits the tensor and the loaded modules, where
+        # spawn or forkserver would import numpy again in every worker; the
+        # thread numpy starts, OpenBLAS's, is stopped by OpenBLAS's fork handler
+        or "fork" not in multiprocessing.get_all_start_methods()
+        # a daemonic process (a pool worker, say) may not start children
+        or multiprocessing.current_process().daemon
+        # a replaced probe (a wrapper, a test double) runs in this process,
+        # so whatever it records is not lost in a worker
+        or getattr(cp_rank_probe, "__code__", None) is not _OWN_PROBE_CODE
+    ):
+        yield from (cp_rank_probe(t, r, cfg) for r in ranks)
+        return
+    ctx = multiprocessing.get_context("fork")
+    pending: deque = deque()  # (rank, worker, reading end of its pipe)
+
+    def oldest() -> RankProbeResult:
+        rank, worker, reader = pending[0]
+        try:
+            probe, exc = reader.recv()
+        except EOFError:
+            worker.join()
+            raise ProbeWorkerLost(
+                f"the rank-{rank} probe worker ended with exit code {worker.exitcode}"
+            ) from None
+        pending.popleft()
+        worker.join()
+        reader.close()
+        if exc is not None:
+            raise exc
+        return probe
+
+    try:
+        for r in ranks:
+            reader, writer = ctx.Pipe(duplex=False)
+            worker = ctx.Process(target=_probe_task, args=(writer, t, r, cfg), daemon=True)
+            worker.start()
+            # the worker now holds the only writing end, so its death ends the pipe
+            writer.close()
+            pending.append((r, worker, reader))
+            if len(pending) == width:
+                yield oldest()
+        while pending:
+            yield oldest()
+    finally:
+        for _, worker, reader in pending:
+            worker.kill()
+            worker.join()
+            reader.close()
+
+
 def product_term_estimate(
     t: PartyTensor,
     config: ProbeConfig | None = None,
@@ -319,19 +421,31 @@ def product_term_estimate(
     the negative probes are only evidence, so the estimate carries a heuristic
     flag.  Raises CapExceeded when no rank up to ``cap`` (default: the number
     of tensor entries) converges.
+
+    The scan looks ahead: it keeps the next two ranks in flight, each probed
+    in its own forked worker process, where two CPUs or more are usable.
+    Results are read strictly in rank order and the scan stops at the first
+    converged rank; the workers of the ranks above it are killed and reaped
+    before the call returns or raises, so no process outlives it.  Each probe
+    is a deterministic function of (tensor, rank, config), so the estimate is
+    the one a sequential scan returns.  The probes run in-process, one after
+    another, with one usable CPU, where the fork start method does not exist,
+    inside a daemonic process such as a pool worker, and when
+    ``cp_rank_probe`` has been replaced.  A worker that dies without a result
+    raises ProbeWorkerLost.
     """
     cfg = config or ProbeConfig()
     lower = max(flattening_ranks(t))
     top = cap if cap is not None else t.size
     probes = []
-    for r in range(lower, top + 1):
-        probe = cp_rank_probe(t, r, cfg)
-        probes.append(probe)
-        if probe.converged:
-            return ProductTermEstimate(
-                terms=r,
-                heuristic=r > lower,
-                flattening_lower_bound=lower,
-                probes=tuple(probes),
-            )
+    with closing(_rank_probes(t, range(lower, top + 1), cfg)) as results:
+        for probe in results:
+            probes.append(probe)
+            if probe.converged:
+                return ProductTermEstimate(
+                    terms=probe.tested_rank,
+                    heuristic=probe.tested_rank > lower,
+                    flattening_lower_bound=lower,
+                    probes=tuple(probes),
+                )
     raise CapExceeded(f"no converged CP fit up to rank {top} (lower bound {lower})")

@@ -166,12 +166,13 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ConstraintViolation(f"density matrix must be square, got {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > HERMITIAN_TOL:
+        # every check is written so that NaN fails it
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ConstraintViolation("density matrix is not Hermitian within 1e-12")
         tr = np.trace(m).real
-        if abs(tr - 1.0) > NORM_TOL:
+        if not abs(tr - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"density matrix trace {tr!r} deviates from 1")
-        if np.linalg.eigvalsh(m).min() < -PSD_TOL:
+        if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
             raise ConstraintViolation("density matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
@@ -204,11 +205,12 @@ class SchmidtSpectrum:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ConstraintViolation("coeffs must be a nonempty vector")
-        if c.min() < -1e-12:
+        # every check is written so that NaN fails it
+        if not c.min() >= -1e-12:
             raise ConstraintViolation("negative Schmidt coefficient")
-        if abs(c.sum() - 1.0) > NORM_TOL:
+        if not abs(c.sum() - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"Schmidt coefficients sum to {c.sum()!r}, not 1")
-        if np.any(np.diff(c) > 1e-12):
+        if not np.all(np.diff(c) <= 1e-12):
             raise ConstraintViolation("Schmidt coefficients must be nonincreasing")
         object.__setattr__(self, "coeffs", c)
 

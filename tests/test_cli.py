@@ -224,3 +224,27 @@ def test_sweep_rejects_empty_grid(points, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "s.json"],
+        ["bound", "s.json", "t.json"],
+        ["run", "p.loccsim"],
+        ["sweep", "prop3", "--from", "0.34", "--to", "0.45"],
+    ],
+)
+def test_seed_rejected_where_no_probe_runs(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["intro"], ["ghz2epr"], ["prop3", "0.4"]])
+def test_demo_seed_rejected_without_probe(argv, capsys):
+    assert main(["demo", *argv, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -1,9 +1,17 @@
+import dataclasses
+import faulthandler
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccsim.errors import CapExceeded, WrongArity
+from loccsim import invariants
+from loccsim.errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
 from loccsim.invariants import (
     PartyTensor,
     ProbeConfig,
@@ -280,6 +288,134 @@ def test_estimate_product_state():
 def test_estimate_cap():
     with pytest.raises(CapExceeded):
         product_term_estimate(PartyTensor.from_state(w_state(ABC)), cap=2)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so the scan probes in worker processes on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def no_hang():
+    """End the test run with a traceback instead of hanging in a scan."""
+    faulthandler.dump_traceback_later(300, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+
+
+def test_estimate_probes_match_direct_probes(two_cpus):
+    t = PartyTensor.from_state(w_state(ABC))
+    est = product_term_estimate(t)
+    assert est.probes == (cp_rank_probe(t, 2), cp_rank_probe(t, 3))
+
+
+def test_estimate_leaves_no_process(two_cpus):
+    product_term_estimate(PartyTensor.from_state(w_state(ABC)))
+    assert multiprocessing.active_children() == []
+    # nothing converges, so every rank up to the cap runs in a worker
+    with pytest.raises(CapExceeded):
+        product_term_estimate(
+            PartyTensor.from_state(w_state(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=4
+        )
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_keeps_two_ranks_in_flight_on_many_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    live_at_start = []
+    pipe = multiprocessing.connection.Pipe
+
+    def counting_pipe(*args, **kwargs):
+        # one pipe per worker, made just before the worker starts
+        live_at_start.append(len(multiprocessing.active_children()))
+        return pipe(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.connection, "Pipe", counting_pipe)
+    with pytest.raises(CapExceeded):
+        product_term_estimate(
+            PartyTensor.from_state(w_state(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=6
+        )
+    assert len(live_at_start) == 5  # ranks 2..6, each in a worker
+    assert max(live_at_start) == 1
+
+
+def test_estimate_raises_when_a_worker_dies(two_cpus, no_hang, monkeypatch):
+    task = invariants._probe_task
+
+    def dies_at_rank_3(conn, t, r, cfg):
+        if r == 3:
+            os.kill(os.getpid(), signal.SIGKILL)
+        task(conn, t, r, cfg)
+
+    monkeypatch.setattr(invariants, "_probe_task", dies_at_rank_3)
+    # rank 3 is the last rank, so no later worker start happens to end its pipe
+    with pytest.raises(ProbeWorkerLost, match="rank-3 .* exit code -9"):
+        product_term_estimate(PartyTensor.from_state(w_state(ABC)), cap=3)
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_reraises_a_worker_error(two_cpus, monkeypatch):
+    def fails(t, r, cfg=None):
+        raise ConstraintViolation(f"rank {r} refused")
+
+    monkeypatch.setattr(invariants, "cp_rank_probe", fails)
+    monkeypatch.setattr(invariants, "_OWN_PROBE_CODE", fails.__code__)
+    with pytest.raises(ConstraintViolation, match="rank 2 refused"):
+        product_term_estimate(PartyTensor.from_state(w_state(ABC)))
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_inside_daemonic_worker(two_cpus):
+    t = PartyTensor.from_state(w_state(ABC))
+    with multiprocessing.Pool(1) as pool:
+        inside = pool.apply_async(product_term_estimate, (t,)).get(timeout=120)
+    assert inside == product_term_estimate(t)
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+
+
+@pytest.mark.parametrize("setting", [_one_cpu, _no_fork])
+def test_estimate_runs_in_process(setting, monkeypatch):
+    t = PartyTensor.from_state(w_state(ABC))
+    expected = product_term_estimate(t)
+    setting(monkeypatch)
+
+    def no_worker(*args, **kwargs):
+        raise AssertionError("this scan must not start a worker")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_worker)
+    assert product_term_estimate(t) == expected
+
+
+def test_estimate_calls_a_replaced_probe_in_process(two_cpus, monkeypatch):
+    called = []
+
+    def recording(t, r, cfg=None):
+        called.append(r)
+        return cp_rank_probe(t, r, cfg)
+
+    monkeypatch.setattr(invariants, "cp_rank_probe", recording)
+    est = product_term_estimate(PartyTensor.from_state(w_state(ABC)))
+    assert called == [2, 3] and est.terms == 3
+
+
+def test_probe_wall_time_reported_not_compared():
+    probe = cp_rank_probe(PartyTensor.from_state(ghz(ABC)), 2)
+    assert probe.to_dict()["wall_s"] == probe.wall_s > 0
+    assert dataclasses.replace(probe, wall_s=probe.wall_s + 1.0) == probe
 
 
 def test_estimate_serialization():

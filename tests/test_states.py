@@ -12,8 +12,10 @@ from loccsim.errors import (
     WrongArity,
 )
 from loccsim.states import (
+    DensityMatrix,
     PureState,
     Register,
+    SchmidtSpectrum,
     apply_site_ops,
     computational,
     epr,
@@ -87,6 +89,17 @@ def test_purestate_rejects_nan():
     amps[0] = np.nan
     with pytest.raises(ConstraintViolation):
         PureState(ABC, amps)
+
+
+def test_density_matrix_rejects_nan():
+    with pytest.raises(ConstraintViolation):
+        DensityMatrix(("A",), np.diag([np.nan, 0.5]))
+
+
+@pytest.mark.parametrize("coeffs", [[np.nan, np.nan], [1.0, np.nan], [np.nan, 0.0]])
+def test_schmidt_spectrum_rejects_nan(coeffs):
+    with pytest.raises(ConstraintViolation):
+        SchmidtSpectrum(np.array(coeffs), np.eye(2), np.eye(2))
 
 
 def test_amplitudes_frozen():
