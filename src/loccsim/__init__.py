@@ -7,6 +7,8 @@ polynomial invariants and tensor-rank probes, catalysis verdicts, and a
 branching protocol engine with the bundled conversion protocols.
 """
 
+from types import ModuleType as _ModuleType
+
 from .convert import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -110,93 +112,9 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "IMPOSSIBLE",
-    "UNDETERMINED",
-    "CatalysisVerdict",
-    "ConversionBound",
-    "ProductTermObstruction",
-    "RankObstruction",
-    "catalysis_verdict",
-    "default_rank_probe",
-    "splitting_bound",
-    "splitting_cuts",
-    "vidal_probability",
-    "CapExceeded",
-    "ConstraintViolation",
-    "DegenerateState",
-    "EmptySubset",
-    "LabelCollision",
-    "LoccSimError",
-    "MalformedProtocol",
-    "NotAnEprResource",
-    "NotAProbabilityVector",
-    "NotUnitary",
-    "ParameterOutOfRange",
-    "ParseError",
-    "ProbeWorkerLost",
-    "RegisterMismatch",
-    "SemanticError",
-    "SiteOwnership",
-    "WrongArity",
-    "PartyTensor",
-    "ProbeConfig",
-    "ProductTermEstimate",
-    "RankProbeResult",
-    "SloccClass",
-    "cp_rank_probe",
-    "flattening_ranks",
-    "product_term_estimate",
-    "slocc_class",
-    "three_tangle",
-    "PreparedProtocol",
-    "bipartite_catalysis_pair",
-    "builtin_protocols",
-    "ghz_plus_epr_to_any",
-    "ghz_to_epr",
-    "intro_teleport",
-    "prop3",
-    "prop3_b",
-    "prop3_c",
-    "prop3_input",
-    "prop3_target",
-    "tripartite_catalysis_pair",
-    "CNOT",
-    "PAULI_X",
-    "PAULI_Z",
-    "Abort",
-    "Accept",
-    "BranchNode",
-    "Measure",
-    "Protocol",
-    "ProtocolResult",
-    "Target",
-    "Teleport",
-    "Unitary",
-    "apply_unitary",
-    "measure",
-    "run_protocol",
-    "teleport",
-    "teleport_branches",
-    "parse_protocol_file",
-    "DensityMatrix",
-    "PureState",
-    "Register",
-    "SchmidtSpectrum",
-    "apply_site_ops",
-    "computational",
-    "epr",
-    "ghz",
-    "ghz_class",
-    "load_state",
-    "numeric_rank",
-    "reduced_density",
-    "reduced_density_sites",
-    "save_state",
-    "schmidt",
-    "state_from_dict",
-    "state_to_dict",
-    "tensor",
-    "w_family",
-    "w_state",
-]
+# every name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

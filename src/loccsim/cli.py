@@ -25,15 +25,15 @@ from .convert import (
 from .errors import LoccSimError, ParseError, SemanticError
 from .invariants import ProbeConfig, slocc_class
 from .prebuilt import (
+    PreparedProtocol,
     bipartite_catalysis_pair,
     ghz_to_epr,
     intro_teleport,
     prop3,
-    prop3_input,
     prop3_target,
     tripartite_catalysis_pair,
 )
-from .protocol import run_protocol
+from .protocol import ProtocolResult, run_protocol
 from .protofile import parse_protocol_file
 from .states import load_state, schmidt, state_to_dict
 
@@ -63,16 +63,6 @@ def _emit(args, doc: dict) -> None:
             fh.write("\n")
 
 
-def _leaf_rows(result) -> list[tuple[str, float, str]]:
-    return [(leaf.record, leaf.prob, leaf.status) for leaf in result.leaves()]
-
-
-def _print_branches(result) -> None:
-    print("outcome  probability     status")
-    for record, prob, status in _leaf_rows(result):
-        print(f"{record:<8} {_prob(prob)}  {status}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -93,11 +83,15 @@ def _cmd_bound(args) -> int:
     src = load_state(args.source)
     dst = load_state(args.target)
     b = splitting_bound(src, dst, source_id=args.source, target_id=args.target)
+    _print_bound(b)
+    _emit(args, b.to_dict())
+    return 0
+
+
+def _print_bound(b) -> None:
     for cut, p in sorted(b.per_cut.items()):
         print(f"cut {cut:<8} P = {_prob(p)}")
     print(f"bound: {_prob(b.bound)}")
-    _emit(args, b.to_dict())
-    return 0
 
 
 def _cmd_verdict(args) -> int:
@@ -130,43 +124,38 @@ def _cmd_run(args) -> int:
     with open(args.protocol) as fh:
         text = fh.read()
     state, proto = parse_protocol_file(text, name=args.protocol)
-    result = run_protocol(state, proto)
-    _print_branches(result)
-    print(f"success probability: {_prob(result.success_probability)}")
-    _emit(
-        args,
-        {
-            "protocol": proto.name,
-            "success_probability": _jprob(result.success_probability),
-            "tree": result.root.to_dict(),
-        },
-    )
+    doc: dict = {"protocol": proto.name}
+    _run_and_report(PreparedProtocol(state, proto), doc)
+    _emit(args, doc)
     return 0
 
 
-def _run_and_report(prepared, doc: dict, args) -> float:
+def _run_and_report(prepared, doc: dict) -> ProtocolResult:
+    """Run the protocol, print its leaves and success probability, and add
+    both to the report; returns the result."""
     result = run_protocol(prepared.state, prepared.protocol)
-    _print_branches(result)
+    print("outcome  probability     status")
+    for leaf in result.leaves():
+        print(f"{leaf.record:<8} {_prob(leaf.prob)}  {leaf.status}")
     print(f"success probability: {_prob(result.success_probability)}")
     doc["success_probability"] = _jprob(result.success_probability)
     doc["tree"] = result.root.to_dict()
-    return result.success_probability
+    return result
 
 
 def _demo_prop3(args) -> int:
     a = args.value
-    prepared = prop3(a, args.placement)
-    doc: dict = {"demo": "prop3", "a": a, "placement": args.placement}
-    p = _run_and_report(prepared, doc, args)
+    placement = args.placement or "BC"
+    prepared = prop3(a, placement)
+    doc: dict = {"demo": "prop3", "a": a, "placement": placement}
+    p = _run_and_report(prepared, doc).success_probability
     b = splitting_bound(
-        prop3_input(a, args.placement),
-        prop3_target(args.placement),
+        prepared.state,
+        prop3_target(placement),
         source_id=f"prop3 input a={a}",
         target_id="prop3 target",
     )
-    for cut, val in sorted(b.per_cut.items()):
-        print(f"cut {cut:<8} P = {_prob(val)}")
-    print(f"bound: {_prob(b.bound)}")
+    _print_bound(b)
     achieved = abs(p - b.bound) <= OPTIMALITY_TOL
     print(f"optimal: {'achieved' if achieved else 'NOT matched'}")
     doc["bound"] = b.to_dict()
@@ -197,33 +186,23 @@ def _demo_prop2(args) -> int:
 
 
 def _demo_intro(args) -> int:
-    prepared = intro_teleport()
     doc: dict = {"demo": "intro"}
-    _run_and_report(prepared, doc, args)
+    _run_and_report(intro_teleport(), doc)
     _emit(args, doc)
     return 0
 
 
 def _demo_ghz2epr(args) -> int:
-    prepared = ghz_to_epr()
-    result = run_protocol(prepared.state, prepared.protocol)
-    _print_branches(result)
-    print(f"success probability: {_prob(result.success_probability)}")
-    spectra = {}
+    doc: dict = {"demo": "ghz2epr"}
+    result = _run_and_report(ghz_to_epr(), doc)
+    spectra = doc["spectra"] = {}
     for leaf in result.leaves():
         coeffs = schmidt(leaf.state, ["B"]).coeffs
         spectra[leaf.record] = [_jprob(x) for x in coeffs]
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
-    _emit(
-        args,
-        {
-            "demo": "ghz2epr",
-            "success_probability": _jprob(result.success_probability),
-            "spectra": spectra,
-            "tree": result.root.to_dict(),
-        },
-    )
+    doc["tree"] = doc.pop("tree")  # the report keeps spectra before the tree
+    _emit(args, doc)
     return 0
 
 
@@ -246,6 +225,9 @@ def _cmd_demo(args) -> int:
     if args.seed is not None and args.which not in _PROBE_DEMOS:
         print(f"error: demo {args.which} runs no rank probe, so --seed has no effect", file=sys.stderr)
         return 2
+    if args.placement is not None and args.which != "prop3":
+        print(f"error: demo {args.which} uses no helper pair, so --placement has no effect", file=sys.stderr)
+        return 2
     return _DEMOS[args.which](args)
 
 
@@ -263,7 +245,7 @@ def _cmd_sweep(args) -> int:
         a = float(a)
         prepared = prop3(a, args.placement)
         p = run_protocol(prepared.state, prepared.protocol).success_probability
-        b = splitting_bound(prop3_input(a, args.placement), prop3_target(args.placement))
+        b = splitting_bound(prepared.state, prop3_target(args.placement))
         print(f"{_prob(a)}  {_prob(p)}  {_prob(2 * a)}  {_prob(b.bound)}")
         rows.append(
             {"a": _jprob(a), "engine": _jprob(p), "closed_form": _jprob(2 * a), "bound": _jprob(b.bound)}
@@ -325,7 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="prop3: weight parameter (fractions allowed); prop2: catalyst w|ghz",
     )
-    p.add_argument("--placement", choices=["BC", "AC"], default="BC")
+    p.add_argument("--placement", choices=["BC", "AC"], help="prop3 only (default BC)")
     common(p)
     seed(p)
     p.set_defaults(func=_cmd_demo)
@@ -353,10 +335,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return args.func(args)
-    except (ParseError, SemanticError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, SemanticError, json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoccSimError as exc:

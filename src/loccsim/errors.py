@@ -33,7 +33,24 @@ class RegisterMismatch(LoccSimError):
     """Two states that must live on compatible registers do not."""
 
 
-class SiteOwnership(LoccSimError):
+class _StepError(LoccSimError):
+    """Protocol error that says where the protocol validator found it.
+
+    Carries ``step``: the 0-based index of the failing step, or ``"target"``;
+    None when a primitive operation raised it outside any protocol.
+    ``reason`` is the message without that prefix.
+    """
+
+    def __init__(self, message, step=None):
+        self.step = step
+        self.reason = message
+        if step is not None:
+            where = "target" if step == "target" else f"steps[{step}]"
+            message = f"{where}: {message}"
+        super().__init__(message)
+
+
+class SiteOwnership(_StepError):
     """A step touches a site not owned by the acting party."""
 
 
@@ -45,7 +62,7 @@ class NotAnEprResource(LoccSimError):
     """Designated pair is not in the maximally entangled resource state."""
 
 
-class MalformedProtocol(LoccSimError):
+class MalformedProtocol(_StepError):
     """Protocol steps are structurally inconsistent with the register."""
 
 

@@ -103,30 +103,61 @@ def tripartite_catalysis_pair(catalyst: str = "w") -> tuple[PureState, PureState
 # the one-EPR conversion protocol and its role-swapped variants
 
 
+# each party's site among 1-3; the holder of the near pair site 4 per placement
+_SITE = {"A": 1, "B": 2, "C": 3}
+_NEAR_PARTY = {"BC": "B", "AC": "A"}
+_ROLE_NOTES = ("pair placement reconstructed by role symmetry",)
+
+
+def _near_party(placement: str) -> str:
+    if placement not in _NEAR_PARTY:
+        raise ParameterOutOfRange(f"placement must be 'BC' or 'AC', got {placement!r}")
+    return _NEAR_PARTY[placement]
+
+
+def _pair_input(x: float, measurer: str, near: str) -> PureState:
+    """Weight 1-2x on the measurer's site and x on the other two of sites
+    1-3, plus an EPR pair: site 4 with ``near``, site 5 with the measurer."""
+    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
+    weights = [1 - 2 * x if party == measurer else x for party in reg3.parties]
+    return tensor(w_family(*weights, 0.0, reg3), epr(Register.of([(4, near), (5, measurer)])))
+
+
+def _pair_conversion(
+    x: float, measurer: str, near: str, name: str, notes: tuple[str, ...]
+) -> PreparedProtocol:
+    """The one-pair conversion on ``_pair_input(x, measurer, near)``.
+
+    The measurer measures its site of 1-3 (only outcome 0 continues); the
+    near party copies its own site onto the near pair site with a CNOT and
+    measures it; both outcomes succeed.  Success probability 2x.
+    """
+    measured = _SITE[measurer]
+    steps = (
+        Measure(measurer, measured, "Z", accept="0"),
+        Unitary(near, (_SITE[near], 4), CNOT),
+        Measure(near, 4, "Z", accept="*"),
+    )
+    kept = tuple(site for site in _SITE.values() if site != measured) + (5,)
+    target = Target("ghz-lu", sites=kept)
+    return PreparedProtocol(
+        _pair_input(x, measurer, near), Protocol(steps, target, name=name, notes=notes)
+    )
+
+
 def prop3_input(a: float, placement: str = "BC") -> PureState:
     """Weights (a, a, 1-2a) on sites 1-3 plus an EPR pair on sites 4, 5.
 
     ``placement`` names the parties holding the pair: "BC" (site 4 with B)
     or "AC" (site 4 with A); the far half (site 5) is Charlie's either way.
     """
-    a = _check_weight(a, "a")
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
-    if placement == "BC":
-        pair = Register.of([(4, "B"), (5, "C")])
-    elif placement == "AC":
-        pair = Register.of([(4, "A"), (5, "C")])
-    else:
-        raise ParameterOutOfRange(f"placement must be 'BC' or 'AC', got {placement!r}")
-    return tensor(w_family(a, a, 1 - 2 * a, 0.0, reg3), epr(pair))
+    return _pair_input(_check_weight(a, "a"), "C", _near_party(placement))
 
 
 def prop3_target(placement: str = "BC") -> PureState:
     """The exact final state: maximally entangled triple on sites (1, 2, 5),
     measured-out sites 3 and 4 left in |00>."""
-    if placement not in ("BC", "AC"):
-        raise ParameterOutOfRange(f"placement must be 'BC' or 'AC', got {placement!r}")
-    parties = ("A", "B", "C", "B" if placement == "BC" else "A", "C")
-    reg = Register(tuple(range(1, 6)), parties)
+    reg = Register(tuple(range(1, 6)), ("A", "B", "C", _near_party(placement), "C"))
     amps = np.zeros(32, dtype=np.complex128)
     amps[0b00000] = amps[0b11001] = 1 / np.sqrt(2)
     return PureState(reg, amps)
@@ -139,65 +170,22 @@ def prop3(a: float, placement: str = "BC") -> PreparedProtocol:
     the near pair half copies its remaining qubit onto it with a CNOT and
     measures it; both outcomes succeed.  Success probability 2a.
     """
-    state = prop3_input(a, placement)
-    near_party = "B" if placement == "BC" else "A"
-    control = 2 if placement == "BC" else 1
-    steps = (
-        Measure("C", 3, "Z", accept="0"),
-        Unitary(near_party, (control, 4), CNOT),
-        Measure(near_party, 4, "Z", accept="*"),
-    )
     notes = () if placement == "BC" else ("AC pair placement reconstructed by role symmetry",)
-    return PreparedProtocol(
-        state,
-        Protocol(steps, Target("ghz-lu", sites=(1, 2, 5)), name=f"prop3[{placement}]", notes=notes),
+    return _pair_conversion(
+        _check_weight(a, "a"), "C", _near_party(placement), f"prop3[{placement}]", notes
     )
 
 
 def prop3_b(b: float) -> PreparedProtocol:
     """Same conversion for weights (1-2b, b, b): Alice measures site 1,
     Bob runs the CNOT side.  Pair on sites 4 (B) and 5 (A)."""
-    b = _check_weight(b, "b")
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
-    pair = Register.of([(4, "B"), (5, "A")])
-    state = tensor(w_family(1 - 2 * b, b, b, 0.0, reg3), epr(pair))
-    steps = (
-        Measure("A", 1, "Z", accept="0"),
-        Unitary("B", (2, 4), CNOT),
-        Measure("B", 4, "Z", accept="*"),
-    )
-    return PreparedProtocol(
-        state,
-        Protocol(
-            steps,
-            Target("ghz-lu", sites=(2, 3, 5)),
-            name="prop3_b",
-            notes=("pair placement reconstructed by role symmetry",),
-        ),
-    )
+    return _pair_conversion(_check_weight(b, "b"), "A", "B", "prop3_b", _ROLE_NOTES)
 
 
 def prop3_c(c: float) -> PreparedProtocol:
     """Same conversion for weights (c, 1-2c, c): Bob measures site 2,
     Charlie runs the CNOT side.  Pair on sites 4 (C) and 5 (B)."""
-    c = _check_weight(c, "c")
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
-    pair = Register.of([(4, "C"), (5, "B")])
-    state = tensor(w_family(c, 1 - 2 * c, c, 0.0, reg3), epr(pair))
-    steps = (
-        Measure("B", 2, "Z", accept="0"),
-        Unitary("C", (3, 4), CNOT),
-        Measure("C", 4, "Z", accept="*"),
-    )
-    return PreparedProtocol(
-        state,
-        Protocol(
-            steps,
-            Target("ghz-lu", sites=(1, 3, 5)),
-            name="prop3_c",
-            notes=("pair placement reconstructed by role symmetry",),
-        ),
-    )
+    return _pair_conversion(_check_weight(c, "c"), "B", "C", "prop3_c", _ROLE_NOTES)
 
 
 # ---------------------------------------------------------------------------

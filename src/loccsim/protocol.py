@@ -307,61 +307,78 @@ class ProtocolResult:
         return self.root.leaves()
 
 
-def _validate(s: PureState, p: Protocol) -> tuple[int, ...]:
-    """Structural check; returns the surviving sites in register order."""
-    live = list(s.register.sites)
-    parties = set(s.register.parties)
-    for i, step in enumerate(p.steps):
-        where = f"step {i + 1}"
-        if isinstance(step, Measure):
-            if step.party not in parties:
-                raise MalformedProtocol(f"{where}: unknown party {step.party!r}")
-            if step.site not in live:
-                raise MalformedProtocol(f"{where}: site {step.site} not available")
-            if step.accept not in ("0", "1", "*"):
-                raise MalformedProtocol(f"{where}: bad accept token {step.accept!r}")
-            live.remove(step.site)
-        elif isinstance(step, Unitary):
-            if step.party not in parties:
-                raise MalformedProtocol(f"{where}: unknown party {step.party!r}")
-            for x in step.sites:
-                if x not in live:
-                    raise MalformedProtocol(f"{where}: site {x} not available")
+def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
+    """Check the steps in order against the register of ``s``; returns the
+    sites that survive them, in register order.
+
+    This is the one check of which sites are live and who holds them, for
+    ``run_protocol`` and the protocol file parser alike.  It checks every
+    step, whether or not a branch reaches it, and each error carries the
+    failing step's index.
+    """
+    owner = dict(zip(s.register.sites, s.register.parties))
+    live = set(owner)
+    for i, step in enumerate(steps):
+        if isinstance(step, (Measure, Unitary)):
+            if step.party not in owner.values():
+                raise MalformedProtocol(f"unknown party {step.party!r}", step=i)
+            sites = (step.site,) if isinstance(step, Measure) else tuple(step.sites)
+            # a measurement or unitary acts only on sites of its own party
+            party, held = step.party, sites
         elif isinstance(step, Teleport):
-            for x in (step.source, step.near, step.far):
-                if x not in live:
-                    raise MalformedProtocol(f"{where}: site {x} not available")
-            if len({step.source, step.near, step.far}) != 3:
-                raise MalformedProtocol(f"{where}: teleport sites must be distinct")
-            live.remove(step.source)
-            live.remove(step.near)
+            sites = (step.source, step.near, step.far)
+            # the near pair site sits with the party sending the source
+            party, held = owner.get(step.source), (step.near,)
         elif isinstance(step, (Accept, Abort)):
             if not callable(step.predicate):
-                raise MalformedProtocol(f"{where}: predicate must be callable")
+                raise MalformedProtocol("predicate must be callable", step=i)
+            continue
         else:
-            raise MalformedProtocol(f"{where}: unknown step {step!r}")
+            raise MalformedProtocol(f"unknown step {step!r}", step=i)
+        for x in sites:
+            if x not in live:
+                why = "was already consumed" if x in owner else "is not in the register"
+                raise MalformedProtocol(f"site {x} {why}", step=i)
+        if len(set(sites)) != len(sites):
+            raise MalformedProtocol(f"a step's sites must differ, got {sites}", step=i)
+        for x in held:
+            if owner[x] != party:
+                raise SiteOwnership(
+                    f"site {x} belongs to {owner[x]!r}, not to the acting party {party!r}", step=i
+                )
+        if isinstance(step, Measure):
+            if step.accept not in ("0", "1", "*"):
+                raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
+            live.remove(step.site)
+        elif isinstance(step, Teleport):
+            live -= {step.source, step.near}
+    return tuple(x for x in s.register.sites if x in live)
 
-    final = tuple(x for x in s.register.sites if x in live)
-    tgt = p.target
+
+def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
+    """Check the target against the sites ``final`` that survive the steps."""
+
+    def bad(message: str) -> MalformedProtocol:
+        return MalformedProtocol(message, step="target")
+
     if tgt.mode == "exact":
         if tgt.state is None:
-            raise MalformedProtocol("exact target needs a state")
+            raise bad("exact target needs a state")
         want = tgt.state.register
         got_parties = tuple(s.register.party_of(x) for x in final)
         if want.sites != final or want.parties != got_parties:
-            raise MalformedProtocol(
+            raise bad(
                 f"exact target register {want.sites}/{want.parties} does not match "
                 f"surviving sites {final}/{got_parties}"
             )
     elif tgt.mode == "ghz-lu":
         if tgt.sites is None or len(set(tgt.sites)) != 3:
-            raise MalformedProtocol("ghz-lu target needs three distinct sites")
+            raise bad("ghz-lu target needs three distinct sites")
         for x in tgt.sites:
             if x not in final:
-                raise MalformedProtocol(f"ghz-lu site {x} does not survive the protocol")
+                raise bad(f"ghz-lu site {x} does not survive the protocol")
     else:
-        raise MalformedProtocol(f"unknown target mode {tgt.mode!r}")
-    return final
+        raise bad(f"unknown target mode {tgt.mode!r}")
 
 
 def _ghz_lu_success(leaf: PureState, sites: tuple[int, int, int]) -> bool:
@@ -395,8 +412,11 @@ def run_protocol(s: PureState, p: Protocol) -> ProtocolResult:
 
     Aborted branches stay in the tree as failure leaves and contribute zero
     success probability; children probabilities always sum to their parent's.
+    Every step and the target are checked before any branch runs, so a bad
+    step raises MalformedProtocol or SiteOwnership even where no branch
+    reaches it.
     """
-    _validate(s, p)
+    _check_target(s, p.target, _surviving_sites(s, p.steps))
     steps = p.steps
 
     def expand(state: PureState, record: str, prob: float, idx: int) -> BranchNode:

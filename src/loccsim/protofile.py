@@ -24,10 +24,22 @@ from fractions import Fraction
 from .errors import (
     ConstraintViolation,
     DegenerateState,
+    MalformedProtocol,
     ParseError,
     SemanticError,
+    SiteOwnership,
 )
-from .protocol import CNOT, Measure, Protocol, Step, Target, Teleport, Unitary
+from .protocol import (
+    CNOT,
+    Measure,
+    Protocol,
+    Step,
+    Target,
+    Teleport,
+    Unitary,
+    _check_target,
+    _surviving_sites,
+)
 from .states import PureState, Register, epr, ghz, ghz_class, tensor, w_family
 
 # family name -> (numeric parameter count, site count)
@@ -131,40 +143,17 @@ def _family_state(kind: str, params: list[float], reg: Register, line_no: int) -
         raise SemanticError(str(exc), line=line_no) from exc
 
 
-def _build_state(
-    kind: str, params: list[float], parties: list[str], first_site: int, line_no: int
-) -> PureState:
-    n_sites = _FAMILIES[kind][1]
-    reg = Register(tuple(range(first_site, first_site + n_sites)), tuple(parties))
-    return _family_state(kind, params, reg, line_no)
-
-
 def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureState, Protocol]:
-    """Parse a protocol document into its input state and protocol."""
+    """Parse a protocol document into its input state and protocol.
+
+    The steps and the target are checked by the protocol validator when the
+    target line is reached; its errors become SemanticError at the line of
+    the failing step, or of the target.
+    """
     state: PureState | None = None
     steps: list[Step] = []
+    step_lines: list[int] = []
     target: Target | None = None
-    steps_started = False
-    # ownership and liveness mirror of the step sequence
-    owner: dict[int, str] = {}
-    live: list[int] = []
-
-    def semantic(msg: str, line_no: int) -> SemanticError:
-        return SemanticError(msg, line=line_no)
-
-    def known_party(p: str, line_no: int) -> None:
-        if p not in set(owner.values()):
-            raise semantic(f"unknown party {p!r}", line_no)
-
-    def live_site(n: int, what: str, line_no: int) -> None:
-        if n not in owner:
-            raise semantic(f"{what} {n} was never declared", line_no)
-        if n not in live:
-            raise semantic(f"{what} {n} is no longer available", line_no)
-
-    def owned(n: int, p: str, line_no: int) -> None:
-        if owner[n] != p:
-            raise semantic(f"site {n} is held by {owner[n]!r}, not {p!r}", line_no)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
@@ -175,6 +164,8 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureSta
             raise ParseError("directives after target", line=line_no, column=tokens[0][1])
         cur = _Cursor(tokens, line_no)
         directive, col = cur.take("directive")
+        if directive in ("attach", "step", "target") and state is None:
+            raise ParseError(f"{directive} before state", line=line_no, column=col)
 
         if directive == "state":
             if state is not None:
@@ -182,137 +173,27 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureSta
                     "state already declared (use attach to extend)", line=line_no, column=col
                 )
             kind, params, parties = _parse_state_clause(cur)
-            state = _build_state(kind, params, parties, 1, line_no)
+            state = _family_state(kind, params, Register.for_parties(*parties), line_no)
 
         elif directive == "attach":
-            if state is None:
-                raise ParseError("attach before state", line=line_no, column=col)
-            if steps_started:
+            if steps:
                 raise ParseError("attach must precede steps", line=line_no, column=col)
             kind, params, parties = _parse_state_clause(cur)
-            part = _build_state(kind, params, parties, state.n_sites + 1, line_no)
-            state = tensor(state, part)
+            reg = Register.for_parties(*parties, start=state.n_sites + 1)
+            state = tensor(state, _family_state(kind, params, reg, line_no))
 
         elif directive == "step":
-            if state is None:
-                raise ParseError("step before state", line=line_no, column=col)
-            if not steps_started:
-                owner = dict(zip(state.register.sites, state.register.parties))
-                live = list(state.register.sites)
-                steps_started = True
-            kind, kcol = cur.take("step kind")
-            if kind == "measure":
-                cur.keyword("party")
-                party = cur.take("party label")[0]
-                cur.keyword("site")
-                site = cur.site("measured site")
-                cur.keyword("basis")
-                basis, bcol = cur.take("basis name")
-                if basis not in ("Z", "X"):
-                    raise ParseError(
-                        f"basis must be Z or X, got {basis!r}", line=line_no, column=bcol
-                    )
-                accept = "*"
-                if not cur.done():
-                    cur.keyword("accept")
-                    accept, acol = cur.take("accept token")
-                    if accept not in ("0", "1", "*"):
-                        raise ParseError(
-                            f"accept must be 0, 1 or *, got {accept!r}",
-                            line=line_no,
-                            column=acol,
-                        )
-                cur.end()
-                known_party(party, line_no)
-                live_site(site, "site", line_no)
-                owned(site, party, line_no)
-                steps.append(Measure(party, site, basis, accept))
-                live.remove(site)
-            elif kind == "cnot":
-                cur.keyword("party")
-                party = cur.take("party label")[0]
-                cur.keyword("control")
-                control = cur.site("control site")
-                cur.keyword("target")
-                tgt = cur.site("target site")
-                cur.end()
-                known_party(party, line_no)
-                live_site(control, "control site", line_no)
-                live_site(tgt, "target site", line_no)
-                if control == tgt:
-                    raise semantic("control and target must differ", line_no)
-                owned(control, party, line_no)
-                owned(tgt, party, line_no)
-                steps.append(Unitary(party, (control, tgt), CNOT))
-            elif kind == "teleport":
-                cur.keyword("source")
-                source = cur.site("source site")
-                cur.keyword("via")
-                near = cur.site("near pair site")
-                far = cur.site("far pair site")
-                cur.end()
-                for x, what in ((source, "source site"), (near, "pair site"), (far, "pair site")):
-                    live_site(x, what, line_no)
-                if len({source, near, far}) != 3:
-                    raise semantic("teleport sites must be distinct", line_no)
-                if owner[source] != owner[near]:
-                    raise semantic(
-                        f"source is held by {owner[source]!r} but the near pair site "
-                        f"by {owner[near]!r}",
-                        line_no,
-                    )
-                steps.append(Teleport(source, near, far))
-                live.remove(source)
-                live.remove(near)
-            else:
-                raise ParseError(
-                    f"unknown step kind {kind!r} (measure, cnot or teleport)",
-                    line=line_no,
-                    column=kcol,
-                )
+            steps.append(_parse_step(cur))
+            step_lines.append(line_no)
 
         elif directive == "target":
-            if state is None:
-                raise ParseError("target before state", line=line_no, column=col)
-            if not steps_started:
-                owner = dict(zip(state.register.sites, state.register.parties))
-                live = list(state.register.sites)
-                steps_started = True
-            mode, mcol = cur.take("target mode")
-            if mode == "ghz-lu":
-                cur.keyword("sites")
-                trio = tuple(cur.site(f"target site {i + 1}") for i in range(3))
-                cur.end()
-                if len(set(trio)) != 3:
-                    raise semantic("ghz-lu target sites must be distinct", line_no)
-                for x in trio:
-                    live_site(x, "target site", line_no)
-                target = Target("ghz-lu", sites=trio)
-            elif mode == "exact":
-                kind, params, parties = _parse_state_clause(cur)
-                survivors = tuple(x for x in state.register.sites if x in live)
-                n_sites = _FAMILIES[kind][1]
-                if len(survivors) != n_sites:
-                    raise semantic(
-                        f"exact {kind} target needs {n_sites} sites but the steps "
-                        f"leave {len(survivors)}",
-                        line_no,
-                    )
-                got = tuple(owner[x] for x in survivors)
-                if got != tuple(parties):
-                    raise semantic(
-                        f"target parties {tuple(parties)} do not match the surviving "
-                        f"register {got}",
-                        line_no,
-                    )
-                final = _family_state(kind, params, Register(survivors, got), line_no)
-                target = Target("exact", state=final)
-            else:
-                raise ParseError(
-                    f"unknown target mode {mode!r} (ghz-lu or exact)",
-                    line=line_no,
-                    column=mcol,
-                )
+            try:
+                survivors = _surviving_sites(state, steps)
+                target = _parse_target(cur, survivors)
+                _check_target(state, target, survivors)
+            except (MalformedProtocol, SiteOwnership) as exc:
+                at = line_no if exc.step == "target" else step_lines[exc.step]
+                raise SemanticError(exc.reason, line=at) from exc
 
         else:
             raise ParseError(f"unknown directive {directive!r}", line=line_no, column=col)
@@ -322,3 +203,73 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureSta
     if target is None:
         raise ParseError("missing target")
     return state, Protocol(tuple(steps), target, name=name)
+
+
+def _parse_step(cur: _Cursor) -> Step:
+    kind, kcol = cur.take("step kind")
+    if kind == "measure":
+        cur.keyword("party")
+        party = cur.take("party label")[0]
+        cur.keyword("site")
+        site = cur.site("measured site")
+        cur.keyword("basis")
+        basis, bcol = cur.take("basis name")
+        if basis not in ("Z", "X"):
+            raise ParseError(
+                f"basis must be Z or X, got {basis!r}", line=cur.line_no, column=bcol
+            )
+        accept = "*"
+        if not cur.done():
+            cur.keyword("accept")
+            accept, acol = cur.take("accept token")
+            if accept not in ("0", "1", "*"):
+                raise ParseError(
+                    f"accept must be 0, 1 or *, got {accept!r}", line=cur.line_no, column=acol
+                )
+        cur.end()
+        return Measure(party, site, basis, accept)
+    if kind == "cnot":
+        cur.keyword("party")
+        party = cur.take("party label")[0]
+        cur.keyword("control")
+        control = cur.site("control site")
+        cur.keyword("target")
+        tgt = cur.site("target site")
+        cur.end()
+        return Unitary(party, (control, tgt), CNOT)
+    if kind == "teleport":
+        cur.keyword("source")
+        source = cur.site("source site")
+        cur.keyword("via")
+        near = cur.site("near pair site")
+        far = cur.site("far pair site")
+        cur.end()
+        return Teleport(source, near, far)
+    raise ParseError(
+        f"unknown step kind {kind!r} (measure, cnot or teleport)", line=cur.line_no, column=kcol
+    )
+
+
+def _parse_target(cur: _Cursor, survivors: tuple[int, ...]) -> Target:
+    """The target on this line; an exact target's family state is built on
+    the ``survivors`` of the steps, with the parties the line names."""
+    mode, mcol = cur.take("target mode")
+    if mode == "ghz-lu":
+        cur.keyword("sites")
+        trio = tuple(cur.site(f"target site {i + 1}") for i in range(3))
+        cur.end()
+        return Target("ghz-lu", sites=trio)
+    if mode == "exact":
+        kind, params, parties = _parse_state_clause(cur)
+        n_sites = _FAMILIES[kind][1]
+        if len(survivors) != n_sites:
+            raise SemanticError(
+                f"exact {kind} target needs {n_sites} sites but the steps "
+                f"leave {len(survivors)}",
+                line=cur.line_no,
+            )
+        reg = Register(survivors, tuple(parties))
+        return Target("exact", state=_family_state(kind, params, reg, cur.line_no))
+    raise ParseError(
+        f"unknown target mode {mode!r} (ghz-lu or exact)", line=cur.line_no, column=mcol
+    )

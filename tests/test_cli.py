@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ from loccsim.cli import main
 from loccsim.states import Register, ghz, load_state, save_state, w_state
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
 
 PROP3_TEXT = """
 state w 2/5 2/5 1/5 0 parties A B C
@@ -248,3 +252,35 @@ def test_demo_seed_rejected_without_probe(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["intro"], ["ghz2epr"], ["prop1"], ["prop2", "w"]])
+def test_demo_placement_rejected_without_pair(argv, capsys):
+    assert main(["demo", *argv, "--placement", "AC"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# golden reports: stdout and --json of each report path, byte for byte
+
+
+GOLDEN_CASES = {
+    "demo_prop3_2-5": ["demo", "prop3", "2/5"],
+    "demo_prop3_0.45_AC": ["demo", "prop3", "0.45", "--placement", "AC"],
+    "demo_intro": ["demo", "intro"],
+    "demo_ghz2epr": ["demo", "ghz2epr"],
+    # a relative path, so that the report's "protocol" field is fixed
+    "run_conversion": ["run", "tests/golden/conversion.loccsim"],
+    "sweep_prop3": ["sweep", "prop3", "--from", "1/3", "--to", "0.49", "--points", "4"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_reports(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(REPO)
+    report = tmp_path / "report.json"
+    assert main([*GOLDEN_CASES[name], "--json", str(report)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    assert report.read_text() == (GOLDEN / f"{name}.json").read_text()

@@ -349,6 +349,46 @@ def test_malformed_protocols():
         run_protocol(state, Protocol(steps=(), target=Target("fuzzy")))
 
 
+def test_misowned_step_rejected_on_every_branch():
+    # the validator checks each step, not only the steps some branch reaches
+    bc = Register.of([(2, "B"), (3, "C")])
+    unreached = Protocol(
+        steps=(Measure("A", 1, "Z", accept="1"), Unitary("A", (2,), PAULI_X)),
+        target=Target("exact", state=epr(bc)),
+    )
+    with pytest.raises(SiteOwnership) as exc:
+        run_protocol(computational(ABC, "000"), unreached)
+    assert exc.value.step == 1
+
+    never_fires = Protocol(
+        steps=(
+            Measure("A", 1, "X", accept="*"),
+            Unitary("A", (2,), PAULI_X, when=lambda record: False),
+        ),
+        target=Target("exact", state=epr(bc)),
+    )
+    with pytest.raises(SiteOwnership) as exc:
+        run_protocol(ghz(ABC), never_fires)
+    assert exc.value.step == 1
+
+
+def test_validator_names_the_failing_step():
+    state = tensor(ghz(ABC), epr(Register.of([(4, "B"), (5, "C")])))
+    cases = [
+        # a unitary's sites must differ
+        ((Unitary("B", (2, 2), CNOT),), MalformedProtocol, 0),
+        # source and near pair site must sit with one party
+        ((Measure("A", 1, "Z"), Teleport(3, 4, 5)), SiteOwnership, 1),
+        # the surviving sites cannot hold a ghz-lu triple on 1, 2, 3
+        ((Measure("A", 1, "Z"),), MalformedProtocol, "target"),
+    ]
+    for steps, error, where in cases:
+        with pytest.raises(error) as exc:
+            run_protocol(state, Protocol(steps, Target("ghz-lu", sites=(1, 2, 3))))
+        assert exc.value.step == where
+        assert str(exc.value).startswith("target: " if where == "target" else f"steps[{where}]: ")
+
+
 def test_success_bounded_by_splitting_bound():
     # cross-module check on an exact-mode protocol
     prepared = intro_teleport()

@@ -154,16 +154,17 @@ def test_parse_error_reports_position():
 
 
 @pytest.mark.parametrize(
-    "text, fragment",
+    "text, fragment, line",
     [
         # weights don't normalize
-        ("state w 0.5 0.4 0.3 0 parties A B C\ntarget ghz-lu sites 1 2 3\n", ""),
+        ("state w 0.5 0.4 0.3 0 parties A B C\ntarget ghz-lu sites 1 2 3\n", "", 1),
         # party unknown to the register
         (
             "state ghz parties A B C\n"
             "step measure party D site 1 basis Z\n"
             "target ghz-lu sites 1 2 3\n",
             "party",
+            2,
         ),
         # site never declared
         (
@@ -171,6 +172,7 @@ def test_parse_error_reports_position():
             "step measure party A site 9 basis Z\n"
             "target ghz-lu sites 1 2 3\n",
             "site",
+            2,
         ),
         # site already consumed
         (
@@ -179,6 +181,7 @@ def test_parse_error_reports_position():
             "step measure party A site 1 basis Z\n"
             "target ghz-lu sites 2 3 4\n",
             "site",
+            4,
         ),
         # site held by a different party
         (
@@ -186,6 +189,7 @@ def test_parse_error_reports_position():
             "step measure party A site 2 basis Z\n"
             "target ghz-lu sites 1 2 3\n",
             "",
+            2,
         ),
         # cnot needs two distinct sites
         (
@@ -193,6 +197,7 @@ def test_parse_error_reports_position():
             "step cnot party A control 1 target 1\n"
             "target ghz-lu sites 1 2 3\n",
             "differ",
+            2,
         ),
         # teleport: source and near half must share a party
         (
@@ -200,6 +205,7 @@ def test_parse_error_reports_position():
             "step teleport source 1 via 4 5\n"
             "target exact ghz parties A B C\n",
             "",
+            3,
         ),
         # exact target arity mismatch
         (
@@ -207,6 +213,7 @@ def test_parse_error_reports_position():
             "step measure party A site 1 basis Z accept 0\n"
             "target exact ghz parties A B C\n",
             "",
+            3,
         ),
         # ghz-lu target references a consumed site
         (
@@ -214,11 +221,12 @@ def test_parse_error_reports_position():
             "step measure party A site 1 basis Z\n"
             "target ghz-lu sites 1 2 3\n",
             "site",
+            4,
         ),
     ],
 )
-def test_semantic_errors(text, fragment):
+def test_semantic_errors(text, fragment, line):
     with pytest.raises(SemanticError) as exc:
         parse_protocol_file(text)
     assert fragment.lower() in str(exc.value).lower()
-    assert exc.value.line >= 1
+    assert exc.value.line == line
