@@ -71,8 +71,6 @@ from .protocol import (
     CNOT,
     PAULI_X,
     PAULI_Z,
-    Abort,
-    Accept,
     BranchNode,
     Measure,
     Protocol,

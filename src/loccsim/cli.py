@@ -95,20 +95,16 @@ def _print_bound(b) -> None:
 
 
 def _cmd_verdict(args) -> int:
-    src = load_state(args.source)
-    dst = load_state(args.target)
-    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
-    _print_verdict(v)
-    _emit(args, v.to_dict())
+    v = _verdict_and_report(args, load_state(args.source), load_state(args.target), {})
     return 3 if v.feasible == IMPOSSIBLE else 0
 
 
-def _rank_probe(args):
+def _verdict_and_report(args, src, dst, doc: dict):
+    """Decide the catalysis verdict with the probe seed of ``args``, print
+    it, and write ``doc`` followed by the verdict's report; returns the
+    verdict."""
     cfg = ProbeConfig() if args.seed is None else ProbeConfig(seed=args.seed)
-    return default_rank_probe(cfg)
-
-
-def _print_verdict(v) -> None:
+    v = catalysis_verdict(src, dst, rank_probe=default_rank_probe(cfg))
     for party, rs, rt in v.party_ranks:
         print(f"rank({party}): source {rs}, target {rt}")
     if v.product_term_obstruction is not None:
@@ -118,6 +114,8 @@ def _print_verdict(v) -> None:
     for note in v.notes:
         print(f"note: {note}")
     print(f"verdict: {v.feasible}")
+    _emit(args, {**doc, **v.to_dict()})
+    return v
 
 
 def _cmd_run(args) -> int:
@@ -165,10 +163,7 @@ def _demo_prop3(args) -> int:
 
 
 def _demo_prop1(args) -> int:
-    src, dst = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
-    _print_verdict(v)
-    _emit(args, {"demo": "prop1", **v.to_dict()})
+    _verdict_and_report(args, *bipartite_catalysis_pair(), {"demo": "prop1"})
     return 0
 
 
@@ -178,10 +173,8 @@ def _demo_prop2(args) -> int:
         print(f"error: demo prop2 takes catalyst w or ghz, got {catalyst!r}", file=sys.stderr)
         return 2
     src, dst = tripartite_catalysis_pair(catalyst)
-    v = catalysis_verdict(src, dst, rank_probe=_rank_probe(args))
     print(f"catalyst: {catalyst}")
-    _print_verdict(v)
-    _emit(args, {"demo": "prop2", "catalyst": catalyst, **v.to_dict()})
+    _verdict_and_report(args, src, dst, {"demo": "prop2", "catalyst": catalyst})
     return 0
 
 

@@ -54,7 +54,7 @@ class SiteOwnership(_StepError):
     """A step touches a site not owned by the acting party."""
 
 
-class NotUnitary(LoccSimError):
+class NotUnitary(_StepError):
     """Matrix fails the unitarity check."""
 
 

@@ -228,7 +228,7 @@ def ghz_to_epr() -> PreparedProtocol:
     state = ghz(Register.of([(1, "A"), (2, "B"), (3, "C")]))
     steps = (
         Measure("A", 1, "X", accept="*"),
-        Unitary("B", (2,), PAULI_Z, when=lambda record: record.endswith("1")),
+        Unitary("B", (2,), PAULI_Z, when="1"),
     )
     target = Target("exact", state=epr(Register.of([(2, "B"), (3, "C")])))
     return PreparedProtocol(state, Protocol(steps, target, name="ghz_to_epr"))
@@ -254,7 +254,7 @@ def ghz_plus_epr_to_any(chi: PureState | None = None) -> PreparedProtocol:
     state = tensor(tensor(ghz(reg3), epr(pair)), chi)
     steps = (
         Measure("A", 1, "X", accept="*"),
-        Unitary("B", (2,), PAULI_Z, when=lambda record: record.endswith("1")),
+        Unitary("B", (2,), PAULI_Z, when="1"),
         Teleport(6, 5, 4),
         Teleport(7, 2, 3),
     )

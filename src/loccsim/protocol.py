@@ -3,14 +3,15 @@ and teleportation over shared maximally entangled pairs.
 
 Measured qubits leave the register, so post-measurement states live on the
 remaining sites.  Teleportation is collapsed to its deterministic net effect
-by default (the far site takes over the source qubit's role); a verbose mode
-keeps the four Bell branches with their corrections for inspection.
+(the far site takes over the source qubit's role); ``teleport_branches``
+keeps the four Bell branches with their corrections for inspection.  Every
+step is plain data, so the whole protocol is checked before any branch runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,12 +22,7 @@ from .errors import (
     SiteOwnership,
 )
 from .invariants import three_tangle
-from .states import (
-    DensityMatrix,
-    PureState,
-    Register,
-    reduced_density_sites,
-)
+from .states import PureState, Register, reduced_density_sites
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -53,7 +49,8 @@ CNOT = np.array(
 class Measure:
     """Single-site projective measurement; rows of ``basis`` are the outcome bras.
 
-    ``accept`` filters branches: outcomes other than the accepted one abort.
+    ``accept`` filters branches: outcomes other than the accepted one end
+    there as failure leaves.
     """
 
     party: str
@@ -66,14 +63,19 @@ class Measure:
 class Unitary:
     """Local unitary on sites owned by one party.
 
-    ``when`` optionally gates the step on the classical outcome record, which
-    is how correction unitaries conditioned on announced outcomes are written.
+    Each branch carries an outcome record: one character, ``0`` or ``1``,
+    per ``Measure`` step it has passed, in step order.  ``when`` is None for
+    a unitary that always applies.  Otherwise it is a pattern with one
+    character per measurement before this step, each ``0``, ``1`` or ``*``;
+    the unitary applies on a branch whose record equals the pattern at every
+    position that is not ``*``.  This is how corrections conditioned on
+    announced outcomes are written.
     """
 
     party: str
     sites: tuple[int, ...]
     matrix: np.ndarray
-    when: Callable[[str], bool] | None = None
+    when: str | None = None
 
 
 @dataclass(frozen=True)
@@ -83,24 +85,9 @@ class Teleport:
     source: int
     near: int
     far: int
-    verbose: bool = False
 
 
-@dataclass(frozen=True)
-class Accept:
-    """Abort every branch whose record fails the predicate."""
-
-    predicate: Callable[[str], bool]
-
-
-@dataclass(frozen=True)
-class Abort:
-    """Abort every branch whose record satisfies the predicate."""
-
-    predicate: Callable[[str], bool]
-
-
-Step = Measure | Unitary | Teleport | Accept | Abort
+Step = Measure | Unitary | Teleport
 
 
 @dataclass(frozen=True)
@@ -130,19 +117,27 @@ class Protocol:
 # primitive operations
 
 
-def _resolve_basis(basis) -> np.ndarray:
+def _checked_unitary(matrix, k: int, what: str = "matrix", step=None) -> np.ndarray:
+    """``matrix`` as a complex array, checked to be a unitary on ``k`` qubits;
+    ``step`` goes into the NotUnitary raised otherwise."""
+    u = np.asarray(matrix, dtype=np.complex128)
+    if u.shape != (2**k, 2**k):
+        raise NotUnitary(f"{what} shape {u.shape} does not act on {k} qubits", step=step)
+    # written so that a NaN entry fails the check
+    if not np.abs(u @ u.conj().T - np.eye(2**k)).max() <= UNITARY_TOL:
+        raise NotUnitary(f"{what} is not unitary within 1e-10", step=step)
+    return u
+
+
+def _resolve_basis(basis, step=None) -> np.ndarray:
+    """The outcome bras of a basis name (Z or X) or a 2x2 unitary."""
     if isinstance(basis, str):
         if basis.upper() == "Z":
             return BASIS_Z
         if basis.upper() == "X":
             return BASIS_X
-        raise NotUnitary(f"unknown basis name {basis!r}")
-    b = np.asarray(basis, dtype=np.complex128)
-    if b.shape != (2, 2):
-        raise NotUnitary(f"measurement basis must be 2x2, got {b.shape}")
-    if np.max(np.abs(b @ b.conj().T - np.eye(2))) > UNITARY_TOL:
-        raise NotUnitary("measurement basis rows are not orthonormal")
-    return b
+        raise NotUnitary(f"unknown basis name {basis!r}", step=step)
+    return _checked_unitary(basis, 1, "measurement basis", step)
 
 
 def measure(
@@ -184,11 +179,7 @@ def apply_unitary(
         if owner != party:
             raise SiteOwnership(f"site {x} belongs to {owner!r}, not {party!r}")
     k = len(sites)
-    u = np.asarray(matrix, dtype=np.complex128)
-    if u.shape != (2**k, 2**k):
-        raise NotUnitary(f"matrix shape {u.shape} does not act on {k} qubits")
-    if np.max(np.abs(u @ u.conj().T - np.eye(2**k))) > UNITARY_TOL:
-        raise NotUnitary("matrix is not unitary within 1e-10")
+    u = _checked_unitary(matrix, k)
     axes = [s.register.axis_of(x) for x in sites]
     t = np.tensordot(u.reshape((2,) * (2 * k)), s.tensor_view(), axes=(range(k, 2 * k), axes))
     t = np.moveaxis(t, range(k), axes)
@@ -311,13 +302,15 @@ def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
     """Check the steps in order against the register of ``s``; returns the
     sites that survive them, in register order.
 
-    This is the one check of which sites are live and who holds them, for
-    ``run_protocol`` and the protocol file parser alike.  It checks every
-    step, whether or not a branch reaches it, and each error carries the
-    failing step's index.
+    This is the one check of which sites are live and who holds them, and
+    of what each step carries (bases, matrices, accept tokens and ``when``
+    patterns), for ``run_protocol`` and the protocol file parser alike.  It
+    checks every step, whether or not a branch reaches it, and each error
+    carries the failing step's index.
     """
     owner = dict(zip(s.register.sites, s.register.parties))
     live = set(owner)
+    measured = 0  # the length of every branch's record at this step
     for i, step in enumerate(steps):
         if isinstance(step, (Measure, Unitary)):
             if step.party not in owner.values():
@@ -329,10 +322,6 @@ def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
             sites = (step.source, step.near, step.far)
             # the near pair site sits with the party sending the source
             party, held = owner.get(step.source), (step.near,)
-        elif isinstance(step, (Accept, Abort)):
-            if not callable(step.predicate):
-                raise MalformedProtocol("predicate must be callable", step=i)
-            continue
         else:
             raise MalformedProtocol(f"unknown step {step!r}", step=i)
         for x in sites:
@@ -347,10 +336,22 @@ def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
                     f"site {x} belongs to {owner[x]!r}, not to the acting party {party!r}", step=i
                 )
         if isinstance(step, Measure):
+            _resolve_basis(step.basis, step=i)
             if step.accept not in ("0", "1", "*"):
                 raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
             live.remove(step.site)
-        elif isinstance(step, Teleport):
+            measured += 1
+        elif isinstance(step, Unitary):
+            _checked_unitary(step.matrix, len(sites), step=i)
+            when = step.when
+            if when is not None and (
+                not isinstance(when, str) or len(when) != measured or set(when) - set("01*")
+            ):
+                raise MalformedProtocol(
+                    f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}",
+                    step=i,
+                )
+        else:
             live -= {step.source, step.near}
     return tuple(x for x in s.register.sites if x in live)
 
@@ -410,11 +411,12 @@ def _leaf_success(leaf: PureState, target: Target) -> bool:
 def run_protocol(s: PureState, p: Protocol) -> ProtocolResult:
     """Execute all branches and grade the surviving leaves against the target.
 
-    Aborted branches stay in the tree as failure leaves and contribute zero
-    success probability; children probabilities always sum to their parent's.
+    Branches a measurement does not accept stay in the tree as failure
+    leaves and contribute zero success probability; children probabilities
+    always sum to their parent's.
     Every step and the target are checked before any branch runs, so a bad
-    step raises MalformedProtocol or SiteOwnership even where no branch
-    reaches it.
+    step raises MalformedProtocol, SiteOwnership or NotUnitary even where no
+    branch reaches it.
     """
     _check_target(s, p.target, _surviving_sites(s, p.steps))
     steps = p.steps
@@ -434,23 +436,12 @@ def run_protocol(s: PureState, p: Protocol) -> ProtocolResult:
                         children.append(expand(post, rec, pr, idx))
                 return BranchNode(record, prob, state, "internal", tuple(children))
             if isinstance(step, Unitary):
-                if step.when is None or step.when(record):
+                if step.when is None or all(
+                    want in ("*", got) for want, got in zip(step.when, record)
+                ):
                     state = apply_unitary(state, step.party, step.sites, step.matrix)
-            elif isinstance(step, Teleport):
-                if step.verbose:
-                    children = []
-                    for outcome, pk, post in teleport_branches(
-                        state, step.source, (step.near, step.far)
-                    ):
-                        children.append(expand(post, record + outcome, prob * pk, idx))
-                    return BranchNode(record, prob, state, "internal", tuple(children))
+            else:
                 state = teleport(state, step.source, (step.near, step.far))
-            elif isinstance(step, Accept):
-                if not step.predicate(record):
-                    return BranchNode(record, prob, state, "failure")
-            elif isinstance(step, Abort):
-                if step.predicate(record):
-                    return BranchNode(record, prob, state, "failure")
         status = "success" if _leaf_success(state, p.target) else "failure"
         return BranchNode(record, prob, state, status)
 

@@ -24,10 +24,9 @@ from fractions import Fraction
 from .errors import (
     ConstraintViolation,
     DegenerateState,
-    MalformedProtocol,
     ParseError,
     SemanticError,
-    SiteOwnership,
+    _StepError,
 )
 from .protocol import (
     CNOT,
@@ -191,7 +190,7 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureSta
                 survivors = _surviving_sites(state, steps)
                 target = _parse_target(cur, survivors)
                 _check_target(state, target, survivors)
-            except (MalformedProtocol, SiteOwnership) as exc:
+            except _StepError as exc:
                 at = line_no if exc.step == "target" else step_lines[exc.step]
                 raise SemanticError(exc.reason, line=at) from exc
 

@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import loccsim
+
+SRC = Path(loccsim.__file__).resolve().parent
 
 
 def test_all_names_resolve_once():
@@ -9,3 +13,21 @@ def test_all_names_resolve_once():
     for name in names:
         obj = getattr(loccsim, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_no_unused_imports():
+    # __init__ imports names to export them, so it is left out
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert not unused, unused

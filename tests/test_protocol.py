@@ -14,8 +14,7 @@ from loccsim.prebuilt import intro_teleport, prop3, prop3_input
 from loccsim.protocol import (
     CNOT,
     PAULI_X,
-    Abort,
-    Accept,
+    PAULI_Z,
     Measure,
     Protocol,
     Target,
@@ -99,6 +98,8 @@ def test_measure_ownership_and_basis_errors():
         measure(ghz(ABC), "A", 1, "Y")
     with pytest.raises(NotUnitary):
         measure(ghz(ABC), "A", 1, np.array([[1, 1], [1, 1]]) / np.sqrt(2))
+    with pytest.raises(NotUnitary):
+        measure(ghz(ABC), "A", 1, np.array([[np.nan, 0], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +132,8 @@ def test_unitary_validation():
         apply_unitary(ghz(ABC), "A", (1,), np.array([[1, 0], [0, 2]]))
     with pytest.raises(NotUnitary):
         apply_unitary(ghz(ABC), "A", (1,), np.eye(4))
+    with pytest.raises(NotUnitary):
+        apply_unitary(ghz(ABC), "A", (1,), np.array([[np.nan, 0], [0, 1]]))
     with pytest.raises(SiteOwnership):
         apply_unitary(ghz(ABC), "A", (1, 2), CNOT)
     with pytest.raises(MalformedProtocol):
@@ -249,8 +252,7 @@ def test_exact_target_success():
     state = ghz(ABC)
     proto = Protocol(
         steps=(Measure("A", 1, "X", accept="*"),
-               Unitary("B", (2,), np.diag([1, -1]).astype(complex),
-                       when=lambda rec: rec.endswith("1"))),
+               Unitary("B", (2,), np.diag([1, -1]).astype(complex), when="1")),
         target=Target("exact", state=epr(Register.of([(2, "B"), (3, "C")]))),
     )
     result = run_protocol(state, proto)
@@ -289,23 +291,22 @@ def test_ghz_lu_target_rejects_w_leaf():
     assert result.success_probability == pytest.approx(0.0)
 
 
-def test_abort_and_accept_predicates():
-    state = ghz(ABC)
-    aborting = Protocol(
-        steps=(Measure("A", 1, "Z", accept="*"), Abort(lambda rec: rec == "1")),
-        target=Target("exact", state=epr(Register.of([(2, "B"), (3, "C")]))),
-    )
-    result = run_protocol(state, aborting)
-    statuses = {leaf.record: leaf.status for leaf in result.leaves()}
-    assert statuses["1"] == "failure"
+def test_when_pattern_skips_star_positions():
+    # after A's X outcome and B's Z outcome, C holds B's bit; flipping it
+    # whenever B saw 1 leaves C in |0> on every branch
+    c_zero = computational(Register.of([(3, "C")]), "0")
 
-    accepting = Protocol(
-        steps=(Measure("A", 1, "Z", accept="*"), Accept(lambda rec: rec == "0")),
-        target=Target("exact", state=epr(Register.of([(2, "B"), (3, "C")]))),
-    )
-    result2 = run_protocol(state, accepting)
-    statuses2 = {leaf.record: leaf.status for leaf in result2.leaves()}
-    assert statuses2["1"] == "failure"
+    def run(when):
+        steps = (
+            Measure("A", 1, "X"),
+            Measure("B", 2, "Z"),
+            Unitary("C", (3,), PAULI_X, when=when),
+        )
+        return run_protocol(ghz(ABC), Protocol(steps, Target("exact", state=c_zero)))
+
+    assert run("*1").success_probability == pytest.approx(1.0, abs=1e-12)
+    # "01" also demands A's outcome 0, so the (1, 1) branch keeps |1>
+    assert run("01").success_probability == pytest.approx(0.75, abs=1e-12)
 
 
 def test_malformed_protocols():
@@ -361,15 +362,25 @@ def test_misowned_step_rejected_on_every_branch():
     assert exc.value.step == 1
 
     never_fires = Protocol(
-        steps=(
-            Measure("A", 1, "X", accept="*"),
-            Unitary("A", (2,), PAULI_X, when=lambda record: False),
-        ),
+        steps=(Measure("A", 1, "Z"), Unitary("A", (2,), PAULI_X, when="1")),
         target=Target("exact", state=epr(bc)),
     )
     with pytest.raises(SiteOwnership) as exc:
-        run_protocol(ghz(ABC), never_fires)
+        run_protocol(computational(ABC, "000"), never_fires)
     assert exc.value.step == 1
+
+
+def test_unreached_bad_matrix_or_basis_rejected():
+    # outcome 1 never occurs on |000>, so no branch reaches step 1
+    bc = Register.of([(2, "B"), (3, "C")])
+    for step in (Unitary("B", (2,), np.eye(3)), Measure("B", 2, "Y")):
+        unreached = Protocol(
+            steps=(Measure("A", 1, "Z", accept="1"), step),
+            target=Target("exact", state=epr(bc)),
+        )
+        with pytest.raises(NotUnitary) as exc:
+            run_protocol(computational(ABC, "000"), unreached)
+        assert exc.value.step == 1
 
 
 def test_validator_names_the_failing_step():
@@ -381,12 +392,65 @@ def test_validator_names_the_failing_step():
         ((Measure("A", 1, "Z"), Teleport(3, 4, 5)), SiteOwnership, 1),
         # the surviving sites cannot hold a ghz-lu triple on 1, 2, 3
         ((Measure("A", 1, "Z"),), MalformedProtocol, "target"),
+        # a when pattern has only the characters 0, 1 and *
+        ((Measure("A", 1, "Z"), Unitary("B", (2,), PAULI_X, when="2")), MalformedProtocol, 1),
+        # ... and one character per measurement before its step
+        ((Measure("A", 1, "Z"), Unitary("B", (2,), PAULI_X, when="1*")), MalformedProtocol, 1),
+        ((Unitary("B", (2,), PAULI_X, when="0"),), MalformedProtocol, 0),
     ]
     for steps, error, where in cases:
         with pytest.raises(error) as exc:
             run_protocol(state, Protocol(steps, Target("ghz-lu", sites=(1, 2, 3))))
         assert exc.value.step == where
         assert str(exc.value).startswith("target: " if where == "target" else f"steps[{where}]: ")
+
+
+# sites 1-3 hold the W state (A, B, C), sites 4 and 5 an EPR pair (B, C)
+W_EPR = tensor(w_state(ABC), epr(Register.of([(4, "B"), (5, "C")])))
+OWNER = {1: "A", 2: "B", 3: "C", 4: "B", 5: "C", 6: "A"}  # site 6 is not in the register
+# per site count: mostly unitaries, now and then a matrix the validator rejects
+MATRICES = {
+    1: (PAULI_X, PAULI_Z) * 3 + (np.diag([1.0, 2.0]),),
+    2: (CNOT, np.eye(4)) * 3 + (np.eye(3),),
+}
+
+
+@st.composite
+def data_steps(draw):
+    """A Measure, Unitary or Teleport step on W_EPR.  Most steps act for the
+    party holding their first site, carry a well-formed basis, matrix or
+    pattern, and touch sites 3 and 4, which the target leaves free."""
+    site = draw(st.sampled_from((3, 4) * 5 + (1, 2, 5, 6)))
+    kind = draw(st.sampled_from(("measure", "unitary", "teleport")))
+    if kind == "teleport":
+        return Teleport(*draw(st.sampled_from(((2, 4, 5), (site, 4, 5), (3, site, 5)))))
+    # (2, 4) and (3, 5) are the two same-party site pairs
+    pairs = ((site,),) * 3 + ((2, 4), (3, 5), (site, 4))
+    sites = (site,) if kind == "measure" else draw(st.sampled_from(pairs))
+    party = draw(st.sampled_from((OWNER[sites[0]],) * 8 + ("A", "B", "C")))
+    if kind == "measure":
+        basis = draw(st.sampled_from(("Z", "X") * 4 + ("Y",)))
+        return Measure(party, site, basis, draw(st.sampled_from(("0", "1") + ("*",) * 6 + ("2",))))
+    when = draw(st.one_of(st.none(), st.text(alphabet="01*", max_size=2), st.just("2")))
+    matrix = draw(st.sampled_from(MATRICES[len(sites)]))
+    return Unitary(party, sites, matrix, when)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(data_steps(), max_size=5))
+def test_random_data_protocols_run_or_name_their_step(steps):
+    # a random data-step protocol either runs to leaves that carry all the
+    # probability, or is stopped by the validator at a named step, or meets
+    # a teleport pair that is not a resource pair on some branch
+    target = Target("ghz-lu", sites=(1, 2, 5))
+    try:
+        result = run_protocol(W_EPR, Protocol(tuple(steps), target))
+    except (MalformedProtocol, SiteOwnership, NotUnitary) as exc:
+        assert exc.step is not None
+    except NotAnEprResource:
+        pass
+    else:
+        assert sum(leaf.prob for leaf in result.leaves()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_success_bounded_by_splitting_bound():
