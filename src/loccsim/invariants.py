@@ -78,19 +78,19 @@ def _squared_sv_rank(matrix: np.ndarray, tol: float) -> int:
     return int(np.sum(sv**2 > tol * top))
 
 
+def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
+    n = t.ndim
+    order = (mode,) + tuple(o for o in range(n) if o != mode)
+    return np.transpose(t, order).reshape(t.shape[mode], -1)
+
+
 def flattening_ranks(t: PartyTensor, tol: float = RANK_TOL) -> tuple[int, ...]:
     """Numeric rank of each single-party matricization.
 
     Thresholding happens on squared singular values so the result agrees with
     ``numeric_rank`` of the corresponding reduced density matrix.
     """
-    ranks = []
-    n = len(t.shape)
-    for m in range(n):
-        order = (m,) + tuple(o for o in range(n) if o != m)
-        flat = np.transpose(t.data, order).reshape(t.shape[m], -1)
-        ranks.append(_squared_sv_rank(flat, tol))
-    return tuple(ranks)
+    return tuple(_squared_sv_rank(_unfold(t.data, m), tol) for m in range(t.data.ndim))
 
 
 def three_tangle(s: PureState) -> float:
@@ -196,12 +196,6 @@ class RankProbeResult:
             "sweeps": self.sweeps,
             "wall_s": self.wall_s,
         }
-
-
-def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    n = t.ndim
-    order = (mode,) + tuple(o for o in range(n) if o != mode)
-    return np.transpose(t, order).reshape(t.shape[mode], -1)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:

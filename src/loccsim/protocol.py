@@ -6,6 +6,8 @@ remaining sites.  Teleportation is collapsed to its deterministic net effect
 (the far site takes over the source qubit's role); ``teleport_branches``
 keeps the four Bell branches with their corrections for inspection.  Every
 step is plain data, so the whole protocol is checked before any branch runs.
+That check and the primitives (``measure``, ``apply_unitary``, ``teleport``)
+share one per-step check, ``_check_step``.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ class Protocol:
 # primitive operations
 
 
-def _checked_unitary(matrix, k: int, what: str = "matrix", step=None) -> np.ndarray:
+def _checked_unitary(matrix, k: int, step, what: str = "matrix") -> np.ndarray:
     """``matrix`` as a complex array, checked to be a unitary on ``k`` qubits;
     ``step`` goes into the NotUnitary raised otherwise."""
     u = np.asarray(matrix, dtype=np.complex128)
@@ -129,7 +131,7 @@ def _checked_unitary(matrix, k: int, what: str = "matrix", step=None) -> np.ndar
     return u
 
 
-def _resolve_basis(basis, step=None) -> np.ndarray:
+def _resolve_basis(basis, step) -> np.ndarray:
     """The outcome bras of a basis name (Z or X) or a 2x2 unitary."""
     if isinstance(basis, str):
         if basis.upper() == "Z":
@@ -137,7 +139,61 @@ def _resolve_basis(basis, step=None) -> np.ndarray:
         if basis.upper() == "X":
             return BASIS_X
         raise NotUnitary(f"unknown basis name {basis!r}", step=step)
-    return _checked_unitary(basis, 1, "measurement basis", step)
+    return _checked_unitary(basis, 1, step, "measurement basis")
+
+
+def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int, i=None):
+    """Check one step against register ``reg``, of which the sites ``live``
+    are still live, on branches whose outcome records have length
+    ``measured``; returns a measurement's basis rows or a unitary's matrix.
+
+    This is the one check of which sites are live and who holds them, and
+    of what a step carries (bases, matrices, accept tokens and ``when``
+    patterns).  Its errors carry ``i``, the step's index in a protocol, or
+    None when a primitive operation checks its own arguments.
+    """
+    if isinstance(step, Teleport):
+        # the near pair site sits with the party sending the source
+        sites, held = (step.source, step.near, step.far), (step.near,)
+    elif isinstance(step, (Measure, Unitary)):
+        if step.party not in reg.parties:
+            raise MalformedProtocol(f"unknown party {step.party!r}", step=i)
+        # a measurement or unitary acts only on sites of its own party
+        try:
+            sites = held = (step.site,) if isinstance(step, Measure) else tuple(step.sites)
+        except TypeError:
+            raise MalformedProtocol(f"sites must be a sequence, got {step.sites!r}", step=i) from None
+    else:
+        raise MalformedProtocol(f"unknown step {step!r}", step=i)
+    for x in sites:
+        if x not in live:
+            why = "was already consumed" if x in reg.sites else "is not in the register"
+            raise MalformedProtocol(f"site {x} {why}", step=i)
+    if len(set(sites)) != len(sites):
+        raise MalformedProtocol(f"a step's sites must differ, got {sites}", step=i)
+    party = reg.party_of(step.source) if isinstance(step, Teleport) else step.party
+    for x in held:
+        if reg.party_of(x) != party:
+            raise SiteOwnership(
+                f"site {x} belongs to {reg.party_of(x)!r}, not to the acting party {party!r}", step=i
+            )
+    if isinstance(step, Measure):
+        rows = _resolve_basis(step.basis, i)
+        if step.accept not in ("0", "1", "*"):
+            raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
+        return rows
+    if isinstance(step, Unitary):
+        u = _checked_unitary(step.matrix, len(sites), i)
+        when = step.when
+        if when is not None and (
+            not isinstance(when, str) or len(when) != measured or set(when) - set("01*")
+        ):
+            raise MalformedProtocol(
+                f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}",
+                step=i,
+            )
+        return u
+    return None
 
 
 def measure(
@@ -148,11 +204,7 @@ def measure(
     The measured site is removed from the register.  Branches below the
     probability floor are dropped; outcome "0" is listed first.
     """
-    if s.register.party_of(site) != party:
-        raise SiteOwnership(
-            f"site {site} belongs to {s.register.party_of(site)!r}, not {party!r}"
-        )
-    rows = _resolve_basis(basis)
+    rows = _check_step(Measure(party, site, basis), s.register, s.register.sites, 0)
     ax = s.register.axis_of(site)
     t = s.tensor_view()
     reg = s.register.without([site])
@@ -171,15 +223,8 @@ def apply_unitary(
 ) -> PureState:
     """Apply a ``2^k x 2^k`` unitary to ``sites`` (first listed site is the
     most significant index of the matrix)."""
-    sites = tuple(sites)
-    if len(set(sites)) != len(sites):
-        raise MalformedProtocol(f"duplicate sites {sites}")
-    for x in sites:
-        owner = s.register.party_of(x)
-        if owner != party:
-            raise SiteOwnership(f"site {x} belongs to {owner!r}, not {party!r}")
+    u = _check_step(Unitary(party, sites, matrix), s.register, s.register.sites, 0)
     k = len(sites)
-    u = _checked_unitary(matrix, k)
     axes = [s.register.axis_of(x) for x in sites]
     t = np.tensordot(u.reshape((2,) * (2 * k)), s.tensor_view(), axes=(range(k, 2 * k), axes))
     t = np.moveaxis(t, range(k), axes)
@@ -198,21 +243,20 @@ _BELL_BRANCHES = (
 )
 
 
-def _check_teleport_sites(s: PureState, source: int, near: int, far: int) -> None:
-    if len({source, near, far}) != 3:
-        raise MalformedProtocol("teleport needs three distinct sites")
-    p_src = s.register.party_of(source)
-    p_near = s.register.party_of(near)
-    if p_src != p_near:
-        raise SiteOwnership(
-            f"source (owned by {p_src!r}) and near pair site (owned by {p_near!r}) "
-            "must sit with one party"
-        )
+def _check_teleport_sites(s: PureState, source: int, epr_sites) -> tuple[int, int]:
+    """Check a teleport of ``source`` through ``epr_sites`` on ``s``; returns
+    the (near, far) pair."""
+    try:
+        near, far = epr_sites
+    except (TypeError, ValueError):
+        raise MalformedProtocol(f"epr_sites must be a (near, far) pair, got {epr_sites!r}") from None
+    _check_step(Teleport(source, near, far), s.register, s.register.sites, 0)
     pair = reduced_density_sites(s, [near, far])
     if np.max(np.abs(pair.matrix - _EPR_PROJECTOR)) > EPR_TOL:
         raise NotAnEprResource(
             f"sites ({near}, {far}) are not in the maximally entangled pair state"
         )
+    return near, far
 
 
 def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState:
@@ -222,8 +266,7 @@ def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState
     the far site ends up carrying the source qubit's role.  Source and near
     leave the register.
     """
-    near, far = epr_sites
-    _check_teleport_sites(s, source, near, far)
+    near, _far = _check_teleport_sites(s, source, epr_sites)
     ax_s = s.register.axis_of(source)
     ax_n = s.register.axis_of(near)
     # project (source, near) onto the maximally entangled bra and rescale:
@@ -242,8 +285,7 @@ def teleport_branches(
     Every corrected branch coincides with the merged ``teleport`` output up
     to a global phase; probabilities are 1/4 each for an exact resource pair.
     """
-    near, far = epr_sites
-    _check_teleport_sites(s, source, near, far)
+    near, far = _check_teleport_sites(s, source, epr_sites)
     ax_s = s.register.axis_of(source)
     ax_n = s.register.axis_of(near)
     reg = s.register.without([source, near])
@@ -302,58 +344,20 @@ def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
     """Check the steps in order against the register of ``s``; returns the
     sites that survive them, in register order.
 
-    This is the one check of which sites are live and who holds them, and
-    of what each step carries (bases, matrices, accept tokens and ``when``
-    patterns), for ``run_protocol`` and the protocol file parser alike.  It
-    checks every step, whether or not a branch reaches it, and each error
-    carries the failing step's index.
+    Each step goes through ``_check_step``, the check the primitive
+    operations also run, whether or not a branch reaches the step; this is
+    the protocol check of ``run_protocol`` and the protocol file parser.
     """
-    owner = dict(zip(s.register.sites, s.register.parties))
-    live = set(owner)
+    live = s.register.sites
     measured = 0  # the length of every branch's record at this step
     for i, step in enumerate(steps):
-        if isinstance(step, (Measure, Unitary)):
-            if step.party not in owner.values():
-                raise MalformedProtocol(f"unknown party {step.party!r}", step=i)
-            sites = (step.site,) if isinstance(step, Measure) else tuple(step.sites)
-            # a measurement or unitary acts only on sites of its own party
-            party, held = step.party, sites
-        elif isinstance(step, Teleport):
-            sites = (step.source, step.near, step.far)
-            # the near pair site sits with the party sending the source
-            party, held = owner.get(step.source), (step.near,)
-        else:
-            raise MalformedProtocol(f"unknown step {step!r}", step=i)
-        for x in sites:
-            if x not in live:
-                why = "was already consumed" if x in owner else "is not in the register"
-                raise MalformedProtocol(f"site {x} {why}", step=i)
-        if len(set(sites)) != len(sites):
-            raise MalformedProtocol(f"a step's sites must differ, got {sites}", step=i)
-        for x in held:
-            if owner[x] != party:
-                raise SiteOwnership(
-                    f"site {x} belongs to {owner[x]!r}, not to the acting party {party!r}", step=i
-                )
+        _check_step(step, s.register, live, measured, i)
         if isinstance(step, Measure):
-            _resolve_basis(step.basis, step=i)
-            if step.accept not in ("0", "1", "*"):
-                raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
-            live.remove(step.site)
+            live = tuple(x for x in live if x != step.site)
             measured += 1
-        elif isinstance(step, Unitary):
-            _checked_unitary(step.matrix, len(sites), step=i)
-            when = step.when
-            if when is not None and (
-                not isinstance(when, str) or len(when) != measured or set(when) - set("01*")
-            ):
-                raise MalformedProtocol(
-                    f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}",
-                    step=i,
-                )
-        else:
-            live -= {step.source, step.near}
-    return tuple(x for x in s.register.sites if x in live)
+        elif isinstance(step, Teleport):
+            live = tuple(x for x in live if x not in (step.source, step.near))
+    return live
 
 
 def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:

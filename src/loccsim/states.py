@@ -390,10 +390,8 @@ def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:
     return SchmidtSpectrum(sv**2, u, vh.T)
 
 
-def apply_site_ops(
-    s: PureState, ops: Mapping[int, np.ndarray], renormalize: bool = True
-) -> PureState:
-    """Apply one 2x2 operator per listed site and renormalize.
+def apply_site_ops(s: PureState, ops: Mapping[int, np.ndarray]) -> PureState:
+    """Apply one 2x2 operator per listed site and scale the result to unit norm.
 
     Operators need not be unitary (this is the SLOCC workhorse); a result with
     numerically zero norm raises DegenerateState.
@@ -406,12 +404,10 @@ def apply_site_ops(
             raise ConstraintViolation(f"site operator for {site} must be 2x2")
         t = np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
     v = t.reshape(-1)
-    if renormalize:
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-12:
-            raise DegenerateState("local operator annihilated the state")
-        v = v / nrm
-    return PureState(s.register, v)
+    nrm = np.linalg.norm(v)
+    if nrm < 1e-12:
+        raise DegenerateState("local operator annihilated the state")
+    return PureState(s.register, v / nrm)
 
 
 # ---------------------------------------------------------------------------

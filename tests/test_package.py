@@ -1,10 +1,12 @@
 import ast
+import re
 import types
 from pathlib import Path
 
 import loccsim
 
 SRC = Path(loccsim.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_all_names_resolve_once():
@@ -31,3 +33,12 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
     assert not unused, unused
+
+
+def test_readme_paths_exist():
+    # a deleted script or golden file must not stay named in the README
+    text = (ROOT / "README.md").read_text()
+    named = set(re.findall(r"\b(?:scripts|tests/golden)/[\w./-]*\w", text))
+    assert named
+    missing = sorted(p for p in named if not (ROOT / p).exists())
+    assert not missing, missing

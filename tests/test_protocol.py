@@ -397,12 +397,39 @@ def test_validator_names_the_failing_step():
         # ... and one character per measurement before its step
         ((Measure("A", 1, "Z"), Unitary("B", (2,), PAULI_X, when="1*")), MalformedProtocol, 1),
         ((Unitary("B", (2,), PAULI_X, when="0"),), MalformedProtocol, 0),
+        # a unitary's sites are a sequence, not a bare site label
+        ((Unitary("A", 1, PAULI_X),), MalformedProtocol, 0),
     ]
     for steps, error, where in cases:
         with pytest.raises(error) as exc:
             run_protocol(state, Protocol(steps, Target("ghz-lu", sites=(1, 2, 3))))
         assert exc.value.step == where
         assert str(exc.value).startswith("target: " if where == "target" else f"steps[{where}]: ")
+
+
+# site 1 (A) holds a payload, sites 2 (A) and 3 (B) a resource pair
+PAIR = tensor(computational(Register.of([(1, "A")]), "0"), epr(Register.of([(2, "A"), (3, "B")])))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: measure(PAIR, "A", 9), id="measure-missing-site"),
+        pytest.param(lambda: measure(PAIR, "D", 1), id="measure-unknown-party"),
+        pytest.param(lambda: apply_unitary(PAIR, "A", (9,), PAULI_X), id="unitary-missing-site"),
+        pytest.param(lambda: apply_unitary(PAIR, "A", 1, PAULI_X), id="unitary-bare-int-sites"),
+        pytest.param(lambda: apply_unitary(PAIR, "D", (1,), PAULI_X), id="unitary-unknown-party"),
+        pytest.param(lambda: teleport(PAIR, 9, (2, 3)), id="teleport-missing-site"),
+        pytest.param(lambda: teleport(PAIR, 1, 2), id="teleport-bare-int-pair"),
+        pytest.param(lambda: teleport_branches(PAIR, 9, (2, 3)), id="branches-missing-site"),
+        pytest.param(lambda: teleport_branches(PAIR, 1, 2), id="branches-bare-int-pair"),
+    ],
+)
+def test_primitives_reject_bad_arguments_like_the_validator(call):
+    # the primitives run the validator's per-step check, with no step index
+    with pytest.raises(MalformedProtocol) as exc:
+        call()
+    assert exc.value.step is None
 
 
 # sites 1-3 hold the W state (A, B, C), sites 4 and 5 an EPR pair (B, C)
