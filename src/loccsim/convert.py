@@ -8,7 +8,7 @@ bound, and the minimum over splittings bounds any collective protocol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -19,9 +19,10 @@ from .invariants import (
     PartyTensor,
     ProbeConfig,
     ProductTermEstimate,
+    flattening_ranks,
     product_term_estimate,
 )
-from .states import PureState, numeric_rank, reduced_density, schmidt
+from .states import PureState, schmidt
 
 ZERO_TAIL = 1e-12
 
@@ -172,11 +173,7 @@ class ProductTermObstruction:
     heuristic: bool
 
     def to_dict(self) -> dict:
-        return {
-            "source_terms": self.source_terms,
-            "target_terms": self.target_terms,
-            "heuristic": self.heuristic,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -233,12 +230,8 @@ def catalysis_verdict(
     """
     parties = _compatible_registers(source, target)
     probe = rank_probe or default_rank_probe()
-    triples = []
-    for p in parties:
-        rs = numeric_rank(reduced_density(source, [p]))
-        rt = numeric_rank(reduced_density(target, [p]))
-        triples.append((p, rs, rt))
-    triples = tuple(triples)
+    ranks = [flattening_ranks(PartyTensor.from_state(s)) for s in (source, target)]
+    triples = tuple(zip(parties, *ranks))
 
     exceeding = tuple(t for t in triples if t[2] > t[1])
     if exceeding:

@@ -30,7 +30,8 @@ class NotAProbabilityVector(LoccSimError):
 
 
 class RegisterMismatch(LoccSimError):
-    """Two states that must live on compatible registers do not."""
+    """Two states that must live on compatible registers do not, or a site or
+    party named for a state is not in its register."""
 
 
 class _StepError(LoccSimError):

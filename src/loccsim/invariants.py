@@ -2,9 +2,9 @@
 
 The rank probe runs alternating least squares for a rank-r CP model of the
 state grouped into one tensor axis per party.  A converged fit proves the
-minimal number of product terms is <= r; failure to converge is evidence
-(not proof) that it is > r, which is why every consumer of the probe labels
-negative results heuristic.
+minimal number of product terms is <= r.  A failed probe proves nothing: it
+only says that no restart fit below ``fit_tol`` within the sweep cap, which
+is why every consumer of the probe labels negative results heuristic.
 """
 
 from __future__ import annotations
@@ -13,13 +13,13 @@ import os
 import time
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
-from .states import RANK_TOL, PureState
+from .states import RANK_TOL, PureState, _cut, _rank
 
 CLASS_TOL = 1e-8
 
@@ -30,6 +30,11 @@ _STALL_ABS = 1e-12
 _STALL_REL = 1e-4
 _STALL_WINDOW = 100
 _RIDGE = 1e-12
+
+
+def _doc(pairs) -> dict:
+    # dict_factory for asdict, which keeps tuples; a report holds lists
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,22 +65,13 @@ class PartyTensor:
     def from_state(cls, s: PureState) -> "PartyTensor":
         parties = s.register.party_labels()
         site_groups = [s.register.sites_of([p]) for p in parties]
-        axes = [s.register.axis_of(x) for grp in site_groups for x in grp]
         shape = tuple(2 ** len(grp) for grp in site_groups)
-        data = np.transpose(s.tensor_view(), axes).reshape(shape)
+        data = _cut(s, [x for grp in site_groups for x in grp]).reshape(shape)
         return cls(parties, shape, data)
 
     @property
     def size(self) -> int:
         return int(np.prod(self.shape))
-
-
-def _squared_sv_rank(matrix: np.ndarray, tol: float) -> int:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    top = sv[0] ** 2
-    if top <= 0:
-        return 0
-    return int(np.sum(sv**2 > tol * top))
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -84,24 +80,31 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.transpose(t, order).reshape(t.shape[mode], -1)
 
 
-def flattening_ranks(t: PartyTensor, tol: float = RANK_TOL) -> tuple[int, ...]:
+def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
     """Numeric rank of each single-party matricization.
 
-    Thresholding happens on squared singular values so the result agrees with
-    ``numeric_rank`` of the corresponding reduced density matrix.
+    The squared singular values go through the rule ``numeric_rank`` applies
+    to eigenvalues (``states._rank``), so each rank equals ``numeric_rank``
+    of the corresponding reduced density matrix.
     """
-    return tuple(_squared_sv_rank(_unfold(t.data, m), tol) for m in range(t.data.ndim))
+    return tuple(
+        _rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False) ** 2) for m in range(t.data.ndim)
+    )
 
 
 def three_tangle(s: PureState) -> float:
-    """Modulus of the 2x2x2 hyperdeterminant, scaled so the GHZ state gives 1.
-
-    Computed as the discriminant of ``det(T0 + x T1)`` in ``x``, where ``T0``
-    and ``T1`` are the two slices along the first site.
-    """
+    """Modulus of the 2x2x2 hyperdeterminant, scaled so the GHZ state gives 1."""
     if s.n_sites != 3 or len(s.register.party_labels()) != 3:
         raise WrongArity("three_tangle needs three sites held by three distinct parties")
-    t = s.tensor_view()
+    return _tangle(s.tensor_view())
+
+
+def _tangle(t: np.ndarray) -> float:
+    """``three_tangle`` of a unit-norm 2x2x2 array.
+
+    Computed as the discriminant of ``det(T0 + x T1)`` in ``x``, where ``T0``
+    and ``T1`` are the two slices along the first axis.
+    """
     d0 = np.linalg.det(t[0])
     d1 = np.linalg.det(t[1])
     mid = np.linalg.det(t[0] + t[1]) - d0 - d1
@@ -119,22 +122,15 @@ class SloccClass:
     tangle: float
 
     def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "parties": list(self.parties),
-            "ranks": list(self.ranks),
-            "tangle": self.tangle,
-            "rank_tol": RANK_TOL,
-            "class_tol": CLASS_TOL,
-        }
+        return {**asdict(self, dict_factory=_doc), "rank_tol": RANK_TOL, "class_tol": CLASS_TOL}
 
 
-def slocc_class(s: PureState, class_tol: float = CLASS_TOL) -> SloccClass:
+def slocc_class(s: PureState) -> SloccClass:
     """Coarse SLOCC class of a three-qubit state.
 
     All single-party ranks 1 -> product; exactly one rank-1 party X ->
     biseparable-X; otherwise the tangle separates the GHZ class (tangle above
-    ``class_tol``) from the W class.
+    ``CLASS_TOL``) from the W class.
     """
     if s.n_sites != 3 or len(s.register.party_labels()) != 3:
         raise WrongArity("slocc_class needs three sites held by three distinct parties")
@@ -145,7 +141,7 @@ def slocc_class(s: PureState, class_tol: float = CLASS_TOL) -> SloccClass:
         label = "product"
     elif ranks.count(1) == 1:
         label = f"biseparable-{t.parties[ranks.index(1)]}"
-    elif tau > class_tol:
+    elif tau > CLASS_TOL:
         label = "ghz-class"
     else:
         label = "w-class"
@@ -164,12 +160,7 @@ class ProbeConfig:
     seed: int = 0x5EED
 
     def to_dict(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "max_iters": self.max_iters,
-            "fit_tol": self.fit_tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -185,17 +176,7 @@ class RankProbeResult:
     wall_s: float = field(compare=False)  # timing, so equality ignores it
 
     def to_dict(self) -> dict:
-        return {
-            "tested_rank": self.tested_rank,
-            "best_residual": self.best_residual,
-            "converged": self.converged,
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "config": self.config.to_dict(),
-            "stop_reason": self.stop_reason,
-            "sweeps": self.sweeps,
-            "wall_s": self.wall_s,
-        }
+        return asdict(self)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -308,12 +289,7 @@ class ProductTermEstimate:
     probes: tuple[RankProbeResult, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "terms": self.terms,
-            "heuristic": self.heuristic,
-            "flattening_lower_bound": self.flattening_lower_bound,
-            "probes": [p.to_dict() for p in self.probes],
-        }
+        return asdict(self, dict_factory=_doc)
 
 
 # The most ranks a scan keeps in flight.  Two is the width that was measured
@@ -411,10 +387,11 @@ def product_term_estimate(
 ) -> ProductTermEstimate:
     """Scan ranks upward from the flattening lower bound until a fit converges.
 
-    The returned count is certified when it equals the lower bound; above it
-    the negative probes are only evidence, so the estimate carries a heuristic
-    flag.  Raises CapExceeded when no rank up to ``cap`` (default: the number
-    of tensor entries) converges.
+    The returned count is certified when it equals the lower bound.  Above
+    it, each failed probe below the count only found no fit below
+    ``fit_tol`` within the sweep cap, which proves no lower bound, so the
+    estimate carries a heuristic flag.  Raises CapExceeded when no rank up
+    to ``cap`` (default: the number of tensor entries) converges.
 
     The scan looks ahead: it keeps the next two ranks in flight, each probed
     in its own forked worker process, where two CPUs or more are usable.

@@ -106,7 +106,6 @@ def tripartite_catalysis_pair(catalyst: str = "w") -> tuple[PureState, PureState
 # each party's site among 1-3; the holder of the near pair site 4 per placement
 _SITE = {"A": 1, "B": 2, "C": 3}
 _NEAR_PARTY = {"BC": "B", "AC": "A"}
-_ROLE_NOTES = ("pair placement reconstructed by role symmetry",)
 
 
 def _near_party(placement: str) -> str:
@@ -123,9 +122,7 @@ def _pair_input(x: float, measurer: str, near: str) -> PureState:
     return tensor(w_family(*weights, 0.0, reg3), epr(Register.of([(4, near), (5, measurer)])))
 
 
-def _pair_conversion(
-    x: float, measurer: str, near: str, name: str, notes: tuple[str, ...]
-) -> PreparedProtocol:
+def _pair_conversion(x: float, measurer: str, near: str, name: str) -> PreparedProtocol:
     """The one-pair conversion on ``_pair_input(x, measurer, near)``.
 
     The measurer measures its site of 1-3 (only outcome 0 continues); the
@@ -140,9 +137,7 @@ def _pair_conversion(
     )
     kept = tuple(site for site in _SITE.values() if site != measured) + (5,)
     target = Target("ghz-lu", sites=kept)
-    return PreparedProtocol(
-        _pair_input(x, measurer, near), Protocol(steps, target, name=name, notes=notes)
-    )
+    return PreparedProtocol(_pair_input(x, measurer, near), Protocol(steps, target, name=name))
 
 
 def prop3_input(a: float, placement: str = "BC") -> PureState:
@@ -170,22 +165,19 @@ def prop3(a: float, placement: str = "BC") -> PreparedProtocol:
     the near pair half copies its remaining qubit onto it with a CNOT and
     measures it; both outcomes succeed.  Success probability 2a.
     """
-    notes = () if placement == "BC" else ("AC pair placement reconstructed by role symmetry",)
-    return _pair_conversion(
-        _check_weight(a, "a"), "C", _near_party(placement), f"prop3[{placement}]", notes
-    )
+    return _pair_conversion(_check_weight(a, "a"), "C", _near_party(placement), f"prop3[{placement}]")
 
 
 def prop3_b(b: float) -> PreparedProtocol:
     """Same conversion for weights (1-2b, b, b): Alice measures site 1,
     Bob runs the CNOT side.  Pair on sites 4 (B) and 5 (A)."""
-    return _pair_conversion(_check_weight(b, "b"), "A", "B", "prop3_b", _ROLE_NOTES)
+    return _pair_conversion(_check_weight(b, "b"), "A", "B", "prop3_b")
 
 
 def prop3_c(c: float) -> PreparedProtocol:
     """Same conversion for weights (c, 1-2c, c): Bob measures site 2,
     Charlie runs the CNOT side.  Pair on sites 4 (C) and 5 (B)."""
-    return _pair_conversion(_check_weight(c, "c"), "B", "C", "prop3_c", _ROLE_NOTES)
+    return _pair_conversion(_check_weight(c, "c"), "B", "C", "prop3_c")
 
 
 # ---------------------------------------------------------------------------

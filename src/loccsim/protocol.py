@@ -23,8 +23,8 @@ from .errors import (
     NotUnitary,
     SiteOwnership,
 )
-from .invariants import three_tangle
-from .states import PureState, Register, reduced_density_sites
+from .invariants import _tangle, _unfold
+from .states import PureState, Register, _cut, reduced_density_sites
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -112,7 +112,6 @@ class Protocol:
     steps: tuple[Step, ...]
     target: Target
     name: str = ""
-    notes: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +387,17 @@ def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
 
 def _ghz_lu_success(leaf: PureState, sites: tuple[int, int, int]) -> bool:
     kept = tuple(x for x in leaf.register.sites if x in set(sites))
-    rest = [x for x in leaf.register.sites if x not in set(sites)]
-    if rest:
-        if reduced_density_sites(leaf, rest).purity() < 1.0 - SUCCESS_TOL:
-            return False
-        rho = reduced_density_sites(leaf, kept).matrix
-        ev, vec = np.linalg.eigh(rho)
-        triple = vec[:, -1]
-    else:
-        triple = leaf.permuted(kept).amplitudes
-    pseudo = Register(kept, ("q1", "q2", "q3"))
-    state = PureState(pseudo, triple / np.linalg.norm(triple))
-    for x in sites:
-        probs = reduced_density_sites(state, [x]).spectrum()
-        if np.max(np.abs(probs - 0.5)) > SUCCESS_TOL:
-            return False
-    return abs(three_tangle(state) - 1.0) <= SUCCESS_TOL
+    u, sv, _ = np.linalg.svd(_cut(leaf, kept), full_matrices=False)
+    # the rest factors out when the purity of its reduced state is 1
+    if np.sum(sv**4) < 1.0 - SUCCESS_TOL:
+        return False
+    triple = u[:, 0].reshape(2, 2, 2)
+    # the single-site spectra, one row per site, must be flat
+    unfoldings = np.stack([_unfold(triple, m) for m in range(3)])
+    probs = np.linalg.svd(unfoldings, compute_uv=False) ** 2
+    if np.max(np.abs(probs - 0.5)) > SUCCESS_TOL:
+        return False
+    return abs(_tangle(triple) - 1.0) <= SUCCESS_TOL
 
 
 def _leaf_success(leaf: PureState, target: Target) -> bool:

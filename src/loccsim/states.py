@@ -72,7 +72,7 @@ class Register:
         try:
             return self.sites.index(site)
         except ValueError:
-            raise KeyError(f"site {site} not in register {self.sites}") from None
+            raise RegisterMismatch(f"site {site} not in register {self.sites}") from None
 
     def party_of(self, site: int) -> str:
         return self.parties[self.axis_of(site)]
@@ -86,7 +86,7 @@ class Register:
         wanted = set(parties)
         unknown = wanted - set(self.parties)
         if unknown:
-            raise ValueError(f"unknown parties {sorted(unknown)}")
+            raise RegisterMismatch(f"unknown parties {sorted(unknown)}")
         return tuple(s for s, p in zip(self.sites, self.parties) if p in wanted)
 
     def without(self, drop: Iterable[int]) -> "Register":
@@ -129,19 +129,17 @@ class PureState:
             raise RegisterMismatch("overlap requires identical registers")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def is_close(self, other: "PureState", tol: float = 1e-9) -> bool:
+    def is_close(self, other: "PureState") -> bool:
         """Equality up to a global phase."""
-        return abs(self.overlap(other)) > 1.0 - tol
+        return abs(self.overlap(other)) > 1.0 - 1e-9
 
     def permuted(self, site_order: Sequence[int]) -> "PureState":
         """Same physical state with register sites listed in ``site_order``."""
         order = tuple(int(s) for s in site_order)
         if sorted(order) != sorted(self.register.sites):
-            raise ValueError(f"{order} is not a permutation of {self.register.sites}")
-        axes = [self.register.axis_of(s) for s in order]
-        data = np.transpose(self.tensor_view(), axes).reshape(-1)
+            raise RegisterMismatch(f"{order} is not a permutation of {self.register.sites}")
         reg = Register(order, tuple(self.register.party_of(s) for s in order))
-        return PureState(reg, data)
+        return PureState(reg, _cut(self, order).reshape(-1))
 
     def fingerprint(self) -> str:
         h = hashlib.sha1()
@@ -214,8 +212,18 @@ class SchmidtSpectrum:
             raise ConstraintViolation("Schmidt coefficients must be nonincreasing")
         object.__setattr__(self, "coeffs", c)
 
-    def rank(self, tol: float = RANK_TOL) -> int:
-        return int(np.sum(self.coeffs > tol * self.coeffs[0]))
+    def rank(self) -> int:
+        return _rank(self.coeffs)
+
+
+def _rank(weights: np.ndarray) -> int:
+    """The one rank rule: the number of ``weights`` (eigenvalues or squared
+    singular values) above ``RANK_TOL`` times the largest one; 0 when none is
+    positive."""
+    top = np.max(weights)
+    if not top > 0:
+        return 0
+    return int(np.sum(weights > RANK_TOL * top))
 
 
 # ---------------------------------------------------------------------------
@@ -323,17 +331,23 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     return PureState(reg, np.kron(s1.amplitudes, s2.amplitudes))
 
 
+def _cut(s: PureState, rows: Sequence[int]) -> np.ndarray:
+    """The amplitudes of ``s`` as a matrix: the row index runs over the sites
+    ``rows`` in the order given, first site most significant, and the column
+    index over the other sites in register order."""
+    axes = [s.register.axis_of(x) for x in rows]
+    rest = [ax for ax in range(s.n_sites) if ax not in axes]
+    return np.transpose(s.tensor_view(), axes + rest).reshape(2 ** len(axes), -1)
+
+
 def reduced_density_sites(s: PureState, keep_sites: Sequence[int]) -> DensityMatrix:
     """Partial trace down to ``keep_sites`` (kept in register order)."""
-    keep = [site for site in s.register.sites if site in set(keep_sites)]
+    keep = [s.register.sites[ax] for ax in sorted({s.register.axis_of(x) for x in keep_sites})]
     if not keep:
         raise EmptySubset("no sites retained")
     if len(keep) == s.n_sites:
         raise EmptySubset("nothing to trace out")
-    axes_keep = [s.register.axis_of(x) for x in keep]
-    axes_drop = [ax for ax in range(s.n_sites) if ax not in axes_keep]
-    dk = 2 ** len(axes_keep)
-    m = np.transpose(s.tensor_view(), axes_keep + axes_drop).reshape(dk, -1)
+    m = _cut(s, keep)
     rho = m @ m.conj().T
     parties = tuple(sorted({s.register.party_of(x) for x in keep}))
     return DensityMatrix(parties, rho, tuple(keep))
@@ -355,14 +369,12 @@ def reduced_density(s: PureState, parties: Iterable[str]) -> DensityMatrix:
     return reduced_density_sites(s, keep)
 
 
-def numeric_rank(rho: DensityMatrix | np.ndarray, tol: float = RANK_TOL) -> int:
-    """Number of eigenvalues exceeding ``tol`` times the largest one."""
+def numeric_rank(rho: DensityMatrix | np.ndarray) -> int:
+    """Rank of a density matrix: the number of its eigenvalues above
+    ``RANK_TOL`` times the largest one (the rule ``flattening_ranks`` and
+    ``SchmidtSpectrum.rank`` share)."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    ev = np.linalg.eigvalsh(m)
-    top = ev[-1]
-    if top <= 0:
-        return 0
-    return int(np.sum(ev > tol * top))
+    return _rank(np.linalg.eigvalsh(m))
 
 
 def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:
@@ -377,15 +389,9 @@ def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:
     left_sites = s.register.sites_of(wanted)
     if not left_sites:
         raise EmptySubset(f"parties {sorted(wanted)} own no sites")
-    right_sites = [x for x in s.register.sites if x not in set(left_sites)]
-    if not right_sites:
+    if len(left_sites) == s.n_sites:
         raise EmptySubset("cut needs a nonempty complement")
-    axes = [s.register.axis_of(x) for x in left_sites] + [
-        s.register.axis_of(x) for x in right_sites
-    ]
-    dl = 2 ** len(left_sites)
-    m = np.transpose(s.tensor_view(), axes).reshape(dl, -1)
-    u, sv, vh = np.linalg.svd(m, full_matrices=False)
+    u, sv, vh = np.linalg.svd(_cut(s, left_sites), full_matrices=False)
     # right basis columns are chosen so the state reconstructs without conjugation
     return SchmidtSpectrum(sv**2, u, vh.T)
 

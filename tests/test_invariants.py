@@ -1,5 +1,6 @@
 import dataclasses
 import faulthandler
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -11,10 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccsim import invariants
+from loccsim.convert import ProductTermObstruction
 from loccsim.errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
 from loccsim.invariants import (
     PartyTensor,
     ProbeConfig,
+    ProductTermEstimate,
+    RankProbeResult,
+    SloccClass,
     cp_rank_probe,
     flattening_ranks,
     product_term_estimate,
@@ -422,3 +427,39 @@ def test_estimate_serialization():
     doc = product_term_estimate(PartyTensor.from_state(ghz(ABC))).to_dict()
     assert doc["terms"] == 2
     assert [p["tested_rank"] for p in doc["probes"]] == [2]
+
+
+def test_report_documents_keep_their_keys_and_json():
+    # each document lists its fields in declaration order, as plain JSON
+    # values (lists, not tuples), and dumps to these exact strings
+    cfg = ProbeConfig(restarts=4, max_iters=300, fit_tol=1e-6, seed=7)
+    probe = RankProbeResult(3, 2.5e-12, True, 4, 7, cfg, "converged", 120, wall_s=0.125)
+    cfg_json = '{"restarts": 4, "max_iters": 300, "fit_tol": 1e-06, "seed": 7}'
+    probe_json = (
+        '{"tested_rank": 3, "best_residual": 2.5e-12, "converged": true, "restarts": 4, '
+        f'"seed": 7, "config": {cfg_json}, "stop_reason": "converged", "sweeps": 120, '
+        '"wall_s": 0.125}'
+    )
+    expected = [
+        (cfg, cfg_json),
+        (probe, probe_json),
+        (
+            ProductTermEstimate(3, True, 2, (probe,)),
+            '{"terms": 3, "heuristic": true, "flattening_lower_bound": 2, '
+            f'"probes": [{probe_json}]}}',
+        ),
+        (
+            ProductTermObstruction(6, 4, True),
+            '{"source_terms": 6, "target_terms": 4, "heuristic": true}',
+        ),
+        (
+            SloccClass("w-class", ("A", "B", "C"), (2, 2, 2), 0.0),
+            '{"label": "w-class", "parties": ["A", "B", "C"], "ranks": [2, 2, 2], '
+            '"tangle": 0.0, "rank_tol": 1e-10, "class_tol": 1e-08}',
+        ),
+    ]
+    for obj, text in expected:
+        doc = obj.to_dict()
+        assert json.dumps(doc) == text
+        assert list(doc) == list(json.loads(text))
+        assert doc == json.loads(text)

@@ -35,6 +35,29 @@ def test_no_unused_imports():
     assert not unused, unused
 
 
+def test_no_unreferenced_private_names():
+    # a private module-level name that no code in the package reads is dead
+    defined, referenced = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = [f"{module}: {name}" for module, name in defined if name not in referenced]
+    assert not unreferenced, unreferenced
+
+
 def test_readme_paths_exist():
     # a deleted script or golden file must not stay named in the README
     text = (ROOT / "README.md").read_text()

@@ -29,6 +29,7 @@ from loccsim.protocol import (
 from loccsim.states import (
     PureState,
     Register,
+    apply_site_ops,
     computational,
     epr,
     ghz,
@@ -289,6 +290,33 @@ def test_ghz_lu_target_rejects_w_leaf():
     )
     result = run_protocol(state, proto)
     assert result.success_probability == pytest.approx(0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(("ghz", "entangled", "w")),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_ghz_lu_target_factors_out_only_a_product_rest(kind, seed, data):
+    # a flat triple on sites 1-3 plus spare sites 4.., all under random local
+    # unitaries and listed in a random register order; only GHZ with a rest
+    # that factors out is a success
+    spare = data.draw(st.integers(min_value=1 if kind == "entangled" else 0, max_value=2))
+    triple = w_state(ABC) if kind == "w" else ghz(ABC)
+    s = triple
+    if spare:
+        rest = Register.of([(4, "C"), (5, "A")][:spare])
+        s = tensor(triple, computational(rest, "0" * spare))
+    if kind == "entangled":
+        # copying site 3 onto site 4 entangles the rest with the triple
+        s = apply_unitary(s, "C", (3, 4), CNOT)
+    rng = np.random.default_rng(seed)
+    s = apply_site_ops(s, {x: haar_unitary(rng) for x in s.register.sites})
+    s = s.permuted(data.draw(st.permutations(s.register.sites)))
+    sites = tuple(data.draw(st.permutations((1, 2, 3))))
+    result = run_protocol(s, Protocol((), Target("ghz-lu", sites=sites)))
+    assert result.success_probability == (1.0 if kind == "ghz" else 0.0)
 
 
 def test_when_pattern_skips_star_positions():

@@ -67,9 +67,9 @@ def test_register_validation():
         Register((1, 2), ("A",))
     with pytest.raises(LabelCollision):
         Register((1, 1), ("A", "B"))
-    with pytest.raises(KeyError):
+    with pytest.raises(RegisterMismatch):
         ABC.axis_of(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(RegisterMismatch):
         ABC.sites_of(["Z"])
 
 
@@ -125,7 +125,7 @@ def test_permuted_roundtrip():
     assert p.register.parties == ("C", "A", "B")
     back = p.permuted((1, 2, 3))
     assert np.allclose(back.amplitudes, s.amplitudes)
-    with pytest.raises(ValueError):
+    with pytest.raises(RegisterMismatch):
         s.permuted((1, 2, 4))
 
 
@@ -245,6 +245,8 @@ def test_reduced_density_errors():
         reduced_density_sites(s, [1, 2, 3])
     with pytest.raises(EmptySubset):
         reduced_density_sites(s, [])
+    with pytest.raises(RegisterMismatch):
+        reduced_density_sites(s, [1, 9])
 
 
 def test_numeric_rank_thresholding():
@@ -291,6 +293,8 @@ def test_schmidt_errors():
         schmidt(ghz(ABC), [])
     with pytest.raises(EmptySubset):
         schmidt(ghz(ABC), ["A", "B", "C"])
+    with pytest.raises(RegisterMismatch):
+        schmidt(ghz(ABC), ["Z"])
 
 
 @settings(max_examples=50, deadline=None)
@@ -332,6 +336,11 @@ def test_apply_site_ops_annihilation():
 def test_apply_site_ops_shape_check():
     with pytest.raises(ConstraintViolation):
         apply_site_ops(ghz(ABC), {1: np.eye(4)})
+
+
+def test_apply_site_ops_unknown_site():
+    with pytest.raises(RegisterMismatch):
+        apply_site_ops(ghz(ABC), {9: np.eye(2)})
 
 
 # ---------------------------------------------------------------------------
