@@ -56,7 +56,6 @@ from .invariants import (
 from .prebuilt import (
     PreparedProtocol,
     bipartite_catalysis_pair,
-    builtin_protocols,
     ghz_plus_epr_to_any,
     ghz_to_epr,
     intro_teleport,
@@ -82,7 +81,6 @@ from .protocol import (
     measure,
     run_protocol,
     teleport,
-    teleport_branches,
 )
 from .protofile import parse_protocol_file
 from .states import (
@@ -96,8 +94,6 @@ from .states import (
     ghz,
     ghz_class,
     load_state,
-    numeric_rank,
-    reduced_density,
     reduced_density_sites,
     save_state,
     schmidt,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,17 +33,16 @@ from .prebuilt import (
     tripartite_catalysis_pair,
 )
 from .protocol import ProtocolResult, run_protocol
-from .protofile import parse_protocol_file
+from .protofile import _to_float, parse_protocol_file
 from .states import load_state, schmidt, state_to_dict
 
 OPTIMALITY_TOL = 1e-9
 
 
 def _number(text: str) -> float:
-    """Exact fraction or decimal, converted to float at the last step."""
     try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+        return _to_float(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
@@ -322,8 +320,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "value", None) is not None and args.command == "demo" and args.which == "prop3":
         try:
-            args.value = float(Fraction(args.value))
-        except (ValueError, ZeroDivisionError):
+            args.value = _to_float(args.value)
+        except ValueError:
             print(f"error: not a number: {args.value!r}", file=sys.stderr)
             return 2
     try:

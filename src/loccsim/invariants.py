@@ -83,9 +83,9 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
 def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
     """Numeric rank of each single-party matricization.
 
-    The squared singular values go through the rule ``numeric_rank`` applies
-    to eigenvalues (``states._rank``), so each rank equals ``numeric_rank``
-    of the corresponding reduced density matrix.
+    The squared singular values are the eigenvalues of the corresponding
+    single-party reduced density matrix, and they go through the one rank
+    rule, ``states._rank``.
     """
     return tuple(
         _rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False) ** 2) for m in range(t.data.ndim)

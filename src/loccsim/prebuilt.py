@@ -255,15 +255,3 @@ def ghz_plus_epr_to_any(chi: PureState | None = None) -> PreparedProtocol:
     return PreparedProtocol(
         state, Protocol(steps, Target("exact", state=final), name="ghz_plus_epr_to_any")
     )
-
-
-def builtin_protocols() -> dict:
-    """Name -> factory for every bundled protocol."""
-    return {
-        "prop3": prop3,
-        "prop3_b": prop3_b,
-        "prop3_c": prop3_c,
-        "intro_teleport": intro_teleport,
-        "ghz_to_epr": ghz_to_epr,
-        "ghz_plus_epr_to_any": ghz_plus_epr_to_any,
-    }

@@ -3,11 +3,10 @@ and teleportation over shared maximally entangled pairs.
 
 Measured qubits leave the register, so post-measurement states live on the
 remaining sites.  Teleportation is collapsed to its deterministic net effect
-(the far site takes over the source qubit's role); ``teleport_branches``
-keeps the four Bell branches with their corrections for inspection.  Every
-step is plain data, so the whole protocol is checked before any branch runs.
-That check and the primitives (``measure``, ``apply_unitary``, ``teleport``)
-share one per-step check, ``_check_step``.
+(the far site takes over the source qubit's role).  Every step is plain
+data, so the whole protocol is checked before any branch runs.  That check
+and the primitives (``measure``, ``apply_unitary``, ``teleport``) share one
+per-step check, ``_check_step``.
 """
 
 from __future__ import annotations
@@ -233,14 +232,6 @@ def apply_unitary(
 _EPR_PROJECTOR = np.zeros((4, 4), dtype=np.complex128)
 _EPR_PROJECTOR[0, 0] = _EPR_PROJECTOR[0, 3] = _EPR_PROJECTOR[3, 0] = _EPR_PROJECTOR[3, 3] = 0.5
 
-# Bell outcome bras over (source, near) and the matching correction on far
-_BELL_BRANCHES = (
-    ("00", np.array([[1, 0], [0, 1]]) / _SQ2, np.eye(2, dtype=np.complex128)),
-    ("01", np.array([[0, 1], [1, 0]]) / _SQ2, PAULI_X),
-    ("10", np.array([[1, 0], [0, -1]]) / _SQ2, PAULI_Z),
-    ("11", np.array([[0, 1], [-1, 0]]) / _SQ2, PAULI_Z @ PAULI_X),
-)
-
 
 def _check_teleport_sites(s: PureState, source: int, epr_sites) -> tuple[int, int]:
     """Check a teleport of ``source`` through ``epr_sites`` on ``s``; returns
@@ -274,30 +265,6 @@ def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState
     v = t.reshape(-1)
     v = v / np.linalg.norm(v)
     return PureState(s.register.without([source, near]), v)
-
-
-def teleport_branches(
-    s: PureState, source: int, epr_sites: tuple[int, int]
-) -> list[tuple[str, float, PureState]]:
-    """All four Bell branches of a teleport, corrections applied.
-
-    Every corrected branch coincides with the merged ``teleport`` output up
-    to a global phase; probabilities are 1/4 each for an exact resource pair.
-    """
-    near, far = _check_teleport_sites(s, source, epr_sites)
-    ax_s = s.register.axis_of(source)
-    ax_n = s.register.axis_of(near)
-    reg = s.register.without([source, near])
-    out = []
-    for label, bra, fix in _BELL_BRANCHES:
-        t = np.tensordot(bra, s.tensor_view(), axes=([0, 1], [ax_s, ax_n]))
-        p = float(np.linalg.norm(t) ** 2)
-        if p < BRANCH_DROP:
-            continue
-        post = PureState(reg, t.reshape(-1) / np.sqrt(p))
-        post = apply_unitary(post, reg.party_of(far), (far,), fix)
-        out.append((label, p, post))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ but violates ownership, normalization, or arity raises SemanticError (line).
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -47,18 +48,17 @@ _FAMILIES = {"w": (4, 3), "ghz": (0, 3), "epr": (0, 2), "ghzclass": (5, 3)}
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """(token, 1-based column) pairs; comments already stripped."""
-    out = []
-    i = 0
-    while i < len(line):
-        if line[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < len(line) and not line[j].isspace():
-            j += 1
-        out.append((line[i:j], i + 1))
-        i = j
-    return out
+    return [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", line)]
+
+
+def _to_float(text: str) -> float:
+    """An exact fraction or decimal, converted to float at the last step;
+    ValueError for anything else, a zero denominator or a value beyond the
+    float range included."""
+    try:
+        return float(Fraction(text))
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a number: {text!r}") from None
 
 
 class _Cursor:
@@ -92,8 +92,8 @@ class _Cursor:
     def number(self, what: str) -> float:
         tok, col = self.take(what)
         try:
-            return float(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
+            return _to_float(tok)
+        except ValueError:
             raise ParseError(
                 f"bad number {tok!r} for {what}", line=self.line_no, column=col
             ) from None

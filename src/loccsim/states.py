@@ -91,6 +91,9 @@ class Register:
 
     def without(self, drop: Iterable[int]) -> "Register":
         gone = set(drop)
+        unknown = gone - set(self.sites)
+        if unknown:
+            raise RegisterMismatch(f"sites {sorted(unknown)} not in register {self.sites}")
         keep = [(s, p) for s, p in zip(self.sites, self.parties) if s not in gone]
         return Register.of(keep)
 
@@ -177,13 +180,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "parties", tuple(self.parties))
         object.__setattr__(self, "sites", tuple(self.sites))
-
-    def spectrum(self) -> np.ndarray:
-        """Eigenvalues, nonincreasing."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
-
-    def purity(self) -> float:
-        return float(np.trace(self.matrix @ self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -351,30 +347,6 @@ def reduced_density_sites(s: PureState, keep_sites: Sequence[int]) -> DensityMat
     rho = m @ m.conj().T
     parties = tuple(sorted({s.register.party_of(x) for x in keep}))
     return DensityMatrix(parties, rho, tuple(keep))
-
-
-def reduced_density(s: PureState, parties: Iterable[str]) -> DensityMatrix:
-    """Reduced density matrix of the sites owned by ``parties``.
-
-    The complement must be nonempty (tracing out nothing is an error).
-    """
-    wanted = set(parties)
-    if not wanted:
-        raise EmptySubset("empty party subset")
-    keep = s.register.sites_of(wanted)
-    if not keep:
-        raise EmptySubset(f"parties {sorted(wanted)} own no sites")
-    if len(keep) == s.n_sites:
-        raise EmptySubset("party subset must be proper (complement owns no sites)")
-    return reduced_density_sites(s, keep)
-
-
-def numeric_rank(rho: DensityMatrix | np.ndarray) -> int:
-    """Rank of a density matrix: the number of its eigenvalues above
-    ``RANK_TOL`` times the largest one (the rule ``flattening_ranks`` and
-    ``SchmidtSpectrum.rank`` share)."""
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    return _rank(np.linalg.eigvalsh(m))
 
 
 def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:

@@ -186,6 +186,30 @@ def test_demo_prop3_bad_value(capsys):
     assert main(["demo", "prop3", "0.2"]) == 1  # out of the family's domain
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "prop3", "1e400"],
+        ["sweep", "prop3", "--from", "1e400", "--to", "0.4", "--points", "2"],
+        ["run", "overflow.loccsim"],
+    ],
+    ids=["demo", "sweep", "run"],
+)
+def test_number_beyond_float_range_is_an_error(argv, tmp_path, monkeypatch, capsys):
+    # 1e400 parses as an exact fraction but overflows a float
+    monkeypatch.chdir(tmp_path)
+    Path("overflow.loccsim").write_text(
+        "state ghzclass 1e400 0 0 0 0 parties A B C\ntarget ghz-lu sites 1 2 3\n"
+    )
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects the option value itself
+        rc = exc.code
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "'1e400'" in err
+
+
 def test_demo_ghz2epr(capsys):
     assert main(["demo", "ghz2epr"]) == 0
     out = capsys.readouterr().out

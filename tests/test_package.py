@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import re
 import types
 from pathlib import Path
@@ -64,4 +66,20 @@ def test_readme_paths_exist():
     named = set(re.findall(r"\b(?:scripts|tests/golden)/[\w./-]*\w", text))
     assert named
     missing = sorted(p for p in named if not (ROOT / p).exists())
+    assert not missing, missing
+
+
+def test_traced_names_exist():
+    # the benchmark's --trace 1 runs wrap these names and fail if one is gone
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, attr, *_ in tracing.FUNCTIONS:
+        if not hasattr(importlib.import_module(f"loccsim.{module}"), attr):
+            missing.append(f"{module}.{attr}")
+    for module, cls, method, _span in tracing.METHODS:
+        owner = getattr(importlib.import_module(f"loccsim.{module}"), cls, None)
+        if not hasattr(owner, method):
+            missing.append(f"{module}.{cls}.{method}")
     assert not missing, missing

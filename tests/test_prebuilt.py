@@ -4,7 +4,6 @@ import pytest
 from loccsim.errors import ConstraintViolation, ParameterOutOfRange, WrongArity
 from loccsim.prebuilt import (
     bipartite_catalysis_pair,
-    builtin_protocols,
     ghz_plus_epr_to_any,
     ghz_to_epr,
     intro_teleport,
@@ -167,21 +166,3 @@ def test_ghz_plus_epr_rejects_wrong_arity():
 
     with pytest.raises(WrongArity):
         ghz_plus_epr_to_any(epr(Register.of([(1, "A"), (2, "B")])))
-
-
-# ---------------------------------------------------------------------------
-# registry
-
-
-def test_builtin_protocol_registry():
-    table = builtin_protocols()
-    assert set(table) == {
-        "prop3",
-        "prop3_b",
-        "prop3_c",
-        "intro_teleport",
-        "ghz_to_epr",
-        "ghz_plus_epr_to_any",
-    }
-    for factory in table.values():
-        assert callable(factory)

@@ -20,11 +20,11 @@ from loccsim.protocol import (
     Target,
     Teleport,
     Unitary,
+    _check_teleport_sites,
     apply_unitary,
     measure,
     run_protocol,
     teleport,
-    teleport_branches,
 )
 from loccsim.states import (
     PureState,
@@ -190,6 +190,32 @@ def test_teleport_commutes_with_source_unitary():
     first = teleport(apply_unitary(full, "A", (1,), u), 1, (2, 3))
     second = apply_unitary(teleport(full, 1, (2, 3)), "B", (3,), u)
     assert abs(first.overlap(second)) == pytest.approx(1.0, abs=1e-12)
+
+
+# Bell outcome bras over (source, near) and the matching correction on far
+BELL_BRANCHES = (
+    ("00", np.array([[1, 0], [0, 1]]) / np.sqrt(2), np.eye(2)),
+    ("01", np.array([[0, 1], [1, 0]]) / np.sqrt(2), PAULI_X),
+    ("10", np.array([[1, 0], [0, -1]]) / np.sqrt(2), PAULI_Z),
+    ("11", np.array([[0, 1], [-1, 0]]) / np.sqrt(2), PAULI_Z @ PAULI_X),
+)
+
+
+def teleport_branches(s, source, epr_sites):
+    """The reference ``teleport`` is checked against: all four Bell branches
+    of the teleport as (outcome, probability, post-state), each with its
+    correction applied."""
+    near, far = _check_teleport_sites(s, source, epr_sites)
+    ax_s = s.register.axis_of(source)
+    ax_n = s.register.axis_of(near)
+    reg = s.register.without([source, near])
+    out = []
+    for label, bra, fix in BELL_BRANCHES:
+        t = np.tensordot(bra, s.tensor_view(), axes=([0, 1], [ax_s, ax_n]))
+        p = float(np.linalg.norm(t) ** 2)
+        post = PureState(reg, t.reshape(-1) / np.sqrt(p))
+        out.append((label, p, apply_unitary(post, reg.party_of(far), (far,), fix)))
+    return out
 
 
 def test_teleport_verbose_branches():
@@ -449,8 +475,6 @@ PAIR = tensor(computational(Register.of([(1, "A")]), "0"), epr(Register.of([(2, 
         pytest.param(lambda: apply_unitary(PAIR, "D", (1,), PAULI_X), id="unitary-unknown-party"),
         pytest.param(lambda: teleport(PAIR, 9, (2, 3)), id="teleport-missing-site"),
         pytest.param(lambda: teleport(PAIR, 1, 2), id="teleport-bare-int-pair"),
-        pytest.param(lambda: teleport_branches(PAIR, 9, (2, 3)), id="branches-missing-site"),
-        pytest.param(lambda: teleport_branches(PAIR, 1, 2), id="branches-bare-int-pair"),
     ],
 )
 def test_primitives_reject_bad_arguments_like_the_validator(call):

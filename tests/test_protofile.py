@@ -142,11 +142,15 @@ def test_parse_errors(text, fragment):
 
 
 def test_parse_error_reports_position():
-    text = "state w 1/3 oops 1/3 0 parties A B C\ntarget ghz-lu sites 1 2 3\n"
-    with pytest.raises(ParseError) as exc:
-        parse_protocol_file(text)
-    assert exc.value.line == 1
-    assert exc.value.column == 13
+    for state_line, column in (
+        ("state w 1/3 oops 1/3 0 parties A B C", 13),
+        # a tab and a run of blanks each count one column per character
+        ("state\tw  1/3\t\t oops 1/3 0 parties A B C", 16),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_protocol_file(state_line + "\ntarget ghz-lu sites 1 2 3\n")
+        assert exc.value.line == 1
+        assert exc.value.column == column
 
 
 # ---------------------------------------------------------------------------
