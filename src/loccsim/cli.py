@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: ``classify``, ``bound``, ``verdict``, ``run``, ``demo``,
-``sweep``.  Human-readable tables go to standard output; ``--json PATH``
-additionally writes a machine-readable document.  Exit codes: 0 on success,
-2 on parse or usage errors, 3 when ``verdict`` finds a conversion impossible,
-1 on other domain errors.
+Subcommands: ``classify``, ``bound``, ``verdict``, ``run``, ``sweep`` and
+``demo``, which takes one of ``prop1``, ``prop2``, ``prop3``, ``intro`` and
+``ghz2epr``.  Human-readable tables go to standard output; ``--json PATH``
+additionally writes a machine-readable document.  Every rejected input
+prints one ``error:`` line to standard error.  Exit codes: 0 on success, 2
+on parse or usage errors and unreadable or unwritable files, 3 when
+``verdict`` finds a conversion impossible, 1 on other domain errors.
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _int_from(low: int):
+    """An argparse type: a decimal integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"want an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _prob(p: float) -> str:
     return f"{p:.12f}"
 
@@ -54,18 +71,11 @@ def _jprob(p: float) -> float:
     return float(f"{p:.12g}")
 
 
-def _emit(args, doc: dict) -> None:
-    if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each prints its table and returns (exit code, JSON report)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args):
     s = load_state(args.state)
     info = slocc_class(s)
     print(f"state: {s.fingerprint()}")
@@ -73,17 +83,15 @@ def _cmd_classify(args) -> int:
     ranks = " ".join(f"{p}={r}" for p, r in zip(info.parties, info.ranks))
     print(f"flattening ranks: {ranks}")
     print(f"three-tangle: {_prob(info.tangle)}")
-    _emit(args, {"state": state_to_dict(s), **info.to_dict()})
-    return 0
+    return 0, {"state": state_to_dict(s), **info.to_dict()}
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     src = load_state(args.source)
     dst = load_state(args.target)
     b = splitting_bound(src, dst, source_id=args.source, target_id=args.target)
     _print_bound(b)
-    _emit(args, b.to_dict())
-    return 0
+    return 0, b.to_dict()
 
 
 def _print_bound(b) -> None:
@@ -92,17 +100,15 @@ def _print_bound(b) -> None:
     print(f"bound: {_prob(b.bound)}")
 
 
-def _cmd_verdict(args) -> int:
-    v = _verdict_and_report(args, load_state(args.source), load_state(args.target), {})
-    return 3 if v.feasible == IMPOSSIBLE else 0
+def _cmd_verdict(args):
+    doc = _verdict_report(args, load_state(args.source), load_state(args.target), {})
+    return (3 if doc["feasible"] == IMPOSSIBLE else 0), doc
 
 
-def _verdict_and_report(args, src, dst, doc: dict):
+def _verdict_report(args, src, dst, doc: dict) -> dict:
     """Decide the catalysis verdict with the probe seed of ``args``, print
-    it, and write ``doc`` followed by the verdict's report; returns the
-    verdict."""
-    cfg = ProbeConfig() if args.seed is None else ProbeConfig(seed=args.seed)
-    v = catalysis_verdict(src, dst, rank_probe=default_rank_probe(cfg))
+    it, and return ``doc`` followed by the verdict's report."""
+    v = catalysis_verdict(src, dst, rank_probe=default_rank_probe(ProbeConfig(seed=args.seed)))
     for party, rs, rt in v.party_ranks:
         print(f"rank({party}): source {rs}, target {rt}")
     if v.product_term_obstruction is not None:
@@ -112,18 +118,16 @@ def _verdict_and_report(args, src, dst, doc: dict):
     for note in v.notes:
         print(f"note: {note}")
     print(f"verdict: {v.feasible}")
-    _emit(args, {**doc, **v.to_dict()})
-    return v
+    return {**doc, **v.to_dict()}
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args):
     with open(args.protocol) as fh:
         text = fh.read()
     state, proto = parse_protocol_file(text, name=args.protocol)
     doc: dict = {"protocol": proto.name}
     _run_and_report(PreparedProtocol(state, proto), doc)
-    _emit(args, doc)
-    return 0
+    return 0, doc
 
 
 def _run_and_report(prepared, doc: dict) -> ProtocolResult:
@@ -139,9 +143,18 @@ def _run_and_report(prepared, doc: dict) -> ProtocolResult:
     return result
 
 
-def _demo_prop3(args) -> int:
-    a = args.value
-    placement = args.placement or "BC"
+def _demo_prop1(args):
+    return 0, _verdict_report(args, *bipartite_catalysis_pair(), {"demo": "prop1"})
+
+
+def _demo_prop2(args):
+    src, dst = tripartite_catalysis_pair(args.catalyst)
+    print(f"catalyst: {args.catalyst}")
+    return 0, _verdict_report(args, src, dst, {"demo": "prop2", "catalyst": args.catalyst})
+
+
+def _demo_prop3(args):
+    a, placement = args.value, args.placement
     prepared = prop3(a, placement)
     doc: dict = {"demo": "prop3", "a": a, "placement": placement}
     p = _run_and_report(prepared, doc).success_probability
@@ -156,34 +169,16 @@ def _demo_prop3(args) -> int:
     print(f"optimal: {'achieved' if achieved else 'NOT matched'}")
     doc["bound"] = b.to_dict()
     doc["optimal"] = achieved
-    _emit(args, doc)
-    return 0
+    return 0, doc
 
 
-def _demo_prop1(args) -> int:
-    _verdict_and_report(args, *bipartite_catalysis_pair(), {"demo": "prop1"})
-    return 0
-
-
-def _demo_prop2(args) -> int:
-    catalyst = args.value if args.value is not None else "w"
-    if catalyst not in ("w", "ghz"):
-        print(f"error: demo prop2 takes catalyst w or ghz, got {catalyst!r}", file=sys.stderr)
-        return 2
-    src, dst = tripartite_catalysis_pair(catalyst)
-    print(f"catalyst: {catalyst}")
-    _verdict_and_report(args, src, dst, {"demo": "prop2", "catalyst": catalyst})
-    return 0
-
-
-def _demo_intro(args) -> int:
+def _demo_intro(args):
     doc: dict = {"demo": "intro"}
     _run_and_report(intro_teleport(), doc)
-    _emit(args, doc)
-    return 0
+    return 0, doc
 
 
-def _demo_ghz2epr(args) -> int:
+def _demo_ghz2epr(args):
     doc: dict = {"demo": "ghz2epr"}
     result = _run_and_report(ghz_to_epr(), doc)
     spectra = doc["spectra"] = {}
@@ -193,42 +188,10 @@ def _demo_ghz2epr(args) -> int:
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
     doc["tree"] = doc.pop("tree")  # the report keeps spectra before the tree
-    _emit(args, doc)
-    return 0
+    return 0, doc
 
 
-# the demos that run the rank probe, so the only ones --seed acts on
-_PROBE_DEMOS = ("prop1", "prop2")
-
-_DEMOS = {
-    "prop1": _demo_prop1,
-    "prop2": _demo_prop2,
-    "prop3": _demo_prop3,
-    "intro": _demo_intro,
-    "ghz2epr": _demo_ghz2epr,
-}
-
-
-def _cmd_demo(args) -> int:
-    if args.which == "prop3" and args.value is None:
-        print("error: demo prop3 needs the weight parameter, e.g. demo prop3 0.4", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.which not in _PROBE_DEMOS:
-        print(f"error: demo {args.which} runs no rank probe, so --seed has no effect", file=sys.stderr)
-        return 2
-    if args.placement is not None and args.which != "prop3":
-        print(f"error: demo {args.which} uses no helper pair, so --placement has no effect", file=sys.stderr)
-        return 2
-    return _DEMOS[args.which](args)
-
-
-def _cmd_sweep(args) -> int:
-    if args.family != "prop3":
-        print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
-        return 2
-    if args.points < 1:
-        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
-        return 2
+def _cmd_sweep(args):
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []
     print("a               engine          closed form 2a  bound")
@@ -241,92 +204,85 @@ def _cmd_sweep(args) -> int:
         rows.append(
             {"a": _jprob(a), "engine": _jprob(p), "closed_form": _jprob(2 * a), "bound": _jprob(b.bound)}
         )
-    _emit(args, {"sweep": "prop3", "placement": args.placement, "rows": rows})
-    return 0
+    return 0, {"sweep": "prop3", "placement": args.placement, "rows": rows}
 
 
 # ---------------------------------------------------------------------------
 # wiring
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the class of their parent, so one override
+    # turns every argparse rejection into an error main reports and returns
+    def error(self, message):
+        raise _UsageError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="loccsim",
         description="Local transformations of few-qubit entangled states.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(sub, name, func, summary, *positionals, seed=False):
+        p = sub.add_parser(name, help=summary)
+        for dest, text in positionals:
+            p.add_argument(dest, help=text)
         p.add_argument("--json", metavar="PATH", help="also write a JSON report")
+        if seed:
+            default = ProbeConfig().seed
+            p.add_argument(
+                "--seed",
+                type=_int_from(0),
+                default=default,
+                help=f"seed for the randomized rank probes (default {default:#x})",
+            )
+        p.set_defaults(func=func)
+        return p
 
-    def seed(p):
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=None,
-            help=f"seed for the randomized rank probes (default {ProbeConfig().seed:#x})",
-        )
+    command(commands, "classify", _cmd_classify, "SLOCC class of a saved state", ("state", "state JSON file"))
+    pair = [("source", "source state JSON file"), ("target", "target state JSON file")]
+    command(commands, "bound", _cmd_bound, "bipartite-splitting conversion bound", *pair)
+    command(commands, "verdict", _cmd_verdict, "catalysis feasibility verdict", *pair, seed=True)
+    command(commands, "run", _cmd_run, "run a protocol file", ("protocol", "protocol text file"))
 
-    p = sub.add_parser("classify", help="SLOCC class of a saved state")
-    p.add_argument("state", help="state JSON file")
-    common(p)
-    p.set_defaults(func=_cmd_classify)
+    demos = commands.add_parser("demo", help="bundled reproductions").add_subparsers(dest="demo", required=True)
+    command(demos, "prop1", _demo_prop1, "W vs GHZ with a pair catalyst", seed=True)
+    p = command(demos, "prop2", _demo_prop2, "W vs GHZ with a triple catalyst", seed=True)
+    p.add_argument("catalyst", nargs="?", choices=["w", "ghz"], default="w", help="catalyst (default w)")
+    p = command(demos, "prop3", _demo_prop3, "weights (a, a, 1-2a) + EPR -> GHZ, p = 2a")
+    p.add_argument("value", type=_number, metavar="VALUE", help="weight parameter (fractions allowed)")
+    p.add_argument("--placement", choices=["BC", "AC"], default="BC", help="helper pair (default BC)")
+    command(demos, "intro", _demo_intro, "W-type sharing + EPR -> GHZ by teleportation")
+    command(demos, "ghz2epr", _demo_ghz2epr, "GHZ -> EPR pair")
 
-    p = sub.add_parser("bound", help="bipartite-splitting conversion bound")
-    p.add_argument("source", help="source state JSON file")
-    p.add_argument("target", help="target state JSON file")
-    common(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("verdict", help="catalysis feasibility verdict")
-    p.add_argument("source", help="source state JSON file")
-    p.add_argument("target", help="target state JSON file")
-    common(p)
-    seed(p)
-    p.set_defaults(func=_cmd_verdict)
-
-    p = sub.add_parser("run", help="run a protocol file")
-    p.add_argument("protocol", help="protocol text file")
-    common(p)
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("demo", help="bundled reproductions")
-    p.add_argument("which", choices=sorted(_DEMOS))
-    p.add_argument(
-        "value",
-        nargs="?",
-        default=None,
-        help="prop3: weight parameter (fractions allowed); prop2: catalyst w|ghz",
-    )
-    p.add_argument("--placement", choices=["BC", "AC"], help="prop3 only (default BC)")
-    common(p)
-    seed(p)
-    p.set_defaults(func=_cmd_demo)
-
-    p = sub.add_parser("sweep", help="tabulate a protocol family over a parameter grid")
-    p.add_argument("family", help="only prop3 is available")
+    p = command(commands, "sweep", _cmd_sweep, "tabulate a protocol family over a parameter grid")
+    p.add_argument("family", choices=["prop3"])
     p.add_argument("--from", dest="start", type=_number, required=True)
     p.add_argument("--to", dest="stop", type=_number, required=True)
-    p.add_argument("--points", type=int, default=10)
+    p.add_argument("--points", type=_int_from(1), default=10)
     p.add_argument("--placement", choices=["BC", "AC"], default="BC")
-    common(p)
-    p.set_defaults(func=_cmd_sweep)
-
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "value", None) is not None and args.command == "demo" and args.which == "prop3":
-        try:
-            args.value = _to_float(args.value)
-        except ValueError:
-            print(f"error: not a number: {args.value!r}", file=sys.stderr)
-            return 2
     try:
-        return args.func(args)
-    except (ParseError, SemanticError, json.JSONDecodeError, FileNotFoundError) as exc:
+        args = _PARSER.parse_args(argv)
+        code, doc = args.func(args)
+        if args.json:
+            with open(args.json, "w") as fh:
+                json.dump(doc, fh, indent=2)
+                fh.write("\n")
+        return code
+    except (_UsageError, ParseError, SemanticError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoccSimError as exc:

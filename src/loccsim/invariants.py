@@ -159,6 +159,11 @@ class ProbeConfig:
     fit_tol: float = 1e-8
     seed: int = 0x5EED
 
+    def __post_init__(self):
+        # checked here, before any probe worker forks around the seed
+        if self.seed < 0:
+            raise ConstraintViolation(f"probe seed must be non-negative, got {self.seed}")
+
     def to_dict(self) -> dict:
         return asdict(self)
 

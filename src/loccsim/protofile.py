@@ -12,13 +12,15 @@ it with fresh sites), the steps, and finally the success target:
     target ghz-lu sites 1 2 5
 
 Sites are numbered in order of declaration starting from 1.  Numeric fields
-accept fractions (``1/3``) and are parsed exactly before float conversion.
+accept fractions (``1/3``); each number becomes the float nearest its exact
+value.
 Structural problems raise ParseError (line, column); a document that parses
 but violates ownership, normalization, or arity raises SemanticError (line).
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -52,13 +54,19 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
 
 
 def _to_float(text: str) -> float:
-    """An exact fraction or decimal, converted to float at the last step;
+    """A fraction ``p/q`` or a decimal as the float nearest its exact value;
     ValueError for anything else, a zero denominator or a value beyond the
     float range included."""
+    # float() rounds correctly and stays fast on any exponent, where
+    # Fraction("1e999999999") builds 10**999999999; the fraction grammar has
+    # no exponent, and + 0.0 turns -0 into 0
     try:
-        return float(Fraction(text))
+        value = float(Fraction(text)) if "/" in text else float(text) + 0.0
     except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"not a number: {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"not a number: {text!r}")
+    return value
 
 
 class _Cursor:

@@ -1,4 +1,6 @@
+import argparse
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -178,10 +180,6 @@ def test_demo_prop3_ac_placement(capsys):
     assert "0.900000000000" in out
 
 
-def test_demo_prop3_requires_value(capsys):
-    assert main(["demo", "prop3"]) == 2
-
-
 def test_demo_prop3_bad_value(capsys):
     assert main(["demo", "prop3", "0.2"]) == 1  # out of the family's domain
 
@@ -201,11 +199,7 @@ def test_number_beyond_float_range_is_an_error(argv, tmp_path, monkeypatch, caps
     Path("overflow.loccsim").write_text(
         "state ghzclass 1e400 0 0 0 0 parties A B C\ntarget ghz-lu sites 1 2 3\n"
     )
-    try:
-        rc = main(argv)
-    except SystemExit as exc:  # argparse rejects the option value itself
-        rc = exc.code
-    assert rc == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "'1e400'" in err
 
@@ -221,12 +215,6 @@ def test_demo_intro(capsys):
     assert "0.666666666667" in capsys.readouterr().out
 
 
-def test_demo_unknown_name():
-    with pytest.raises(SystemExit) as exc:
-        main(["demo", "nonsense"])
-    assert exc.value.code == 2
-
-
 def test_sweep(tmp_path, capsys):
     report = tmp_path / "sweep.json"
     rc = main(
@@ -239,10 +227,6 @@ def test_sweep(tmp_path, capsys):
     for row in doc["rows"]:
         assert row["engine"] == pytest.approx(2 * row["a"], abs=1e-9)
         assert row["engine"] == pytest.approx(row["bound"], abs=1e-9)
-
-
-def test_sweep_unknown_family():
-    assert main(["sweep", "orbit", "--from", "0.4", "--to", "0.45"]) == 2
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])
@@ -264,9 +248,7 @@ def test_sweep_rejects_empty_grid(points, capsys):
     ],
 )
 def test_seed_rejected_where_no_probe_runs(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--seed", "1"])
-    assert exc.value.code == 2
+    assert main([*argv, "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
@@ -284,6 +266,64 @@ def test_demo_placement_rejected_without_pair(argv, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+USAGE_ERRORS = {
+    "no-command": [],
+    "demo-alone": ["demo"],
+    "unknown-demo": ["demo", "nonsense"],
+    "unknown-catalyst": ["demo", "prop2", "xyz"],
+    "unknown-family": ["sweep", "orbit", "--from", "0.4", "--to", "0.45"],
+    "seed-without-probe": ["demo", "intro", "--seed", "1"],
+    "placement-without-pair": ["demo", "prop1", "--placement", "AC"],
+    "prop3-missing-value": ["demo", "prop3"],
+    "prop3-non-numeric": ["demo", "prop3", "abc"],
+    "points-zero": ["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", "0"],
+    "points-non-numeric": ["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", "x"],
+    "demo-negative-seed": ["demo", "prop1", "--seed", "-1"],
+    "verdict-negative-seed": ["verdict", "s.json", "t.json", "--seed", "-5"],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+def test_usage_error_is_one_line(argv, tmp_path, monkeypatch, capsys):
+    # real state files, so that only the flags can be at fault
+    monkeypatch.chdir(tmp_path)
+    save_state(w_state(ABC), "s.json")
+    save_state(ghz(ABC), "t.json")
+    # argparse's own rejections too: a return code, not SystemExit
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_huge_exponent_is_rejected_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["demo", "prop3", "1e3000000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err.startswith("error: argument VALUE: not a number")
+
+
+def test_unreadable_paths_are_one_line(tmp_path, ghz_file, capsys):
+    assert main(["classify", str(tmp_path)]) == 2
+    assert main(["classify", ghz_file, "--json", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["demo", "intro"]) == 0
+    assert main(["demo", "nonsense"]) == 2
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

@@ -464,3 +464,9 @@ def test_report_documents_keep_their_keys_and_json():
         assert json.dumps(doc) == text
         assert list(doc) == list(json.loads(text))
         assert doc == json.loads(text)
+
+
+def test_negative_probe_seed_is_rejected():
+    # before any probe worker forks, not as a ValueError from inside one
+    with pytest.raises(ConstraintViolation, match="non-negative"):
+        ProbeConfig(seed=-1)

@@ -1,10 +1,16 @@
+import math
+import time
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from loccsim.errors import ParseError, SemanticError
 from loccsim.prebuilt import prop3_input
 from loccsim.protocol import run_protocol
-from loccsim.protofile import parse_protocol_file
+from loccsim.protofile import _to_float, parse_protocol_file
 
 PROP3_TEXT = """
 # pair-assisted conversion, weight 2/5
@@ -234,3 +240,40 @@ def test_semantic_errors(text, fragment, line):
         parse_protocol_file(text)
     assert fragment.lower() in str(exc.value).lower()
     assert exc.value.line == line
+
+
+# ---------------------------------------------------------------------------
+# numbers
+
+DIGITS = "0123456789"
+DECIMALS = st.builds(
+    "{}{}.{}e{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.text(DIGITS, min_size=1, max_size=20),
+    st.text(DIGITS, max_size=20),
+    st.integers(-340, 280),  # within the float range, subnormals included
+)
+FRACTIONS = st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+
+
+@given(st.one_of(DECIMALS, FRACTIONS))
+def test_number_is_the_float_nearest_its_exact_value(text):
+    assert _to_float(text) == float(Fraction(text))
+
+
+def test_huge_exponents_parse_at_once():
+    start = time.perf_counter()
+    assert _to_float("1e-3000000") == 0.0
+    with pytest.raises(ValueError):
+        _to_float("1e3000000")
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "1/0", "abc"])
+def test_non_finite_and_non_numbers_are_rejected(text):
+    with pytest.raises(ValueError):
+        _to_float(text)
+
+
+def test_negative_zero_parses_as_zero():
+    assert math.copysign(1.0, _to_float("-0")) == 1.0
