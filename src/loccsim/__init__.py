@@ -87,7 +87,6 @@ from .states import (
     DensityMatrix,
     PureState,
     Register,
-    SchmidtSpectrum,
     apply_site_ops,
     computational,
     epr,

@@ -183,7 +183,7 @@ def _demo_ghz2epr(args):
     result = _run_and_report(ghz_to_epr(), doc)
     spectra = doc["spectra"] = {}
     for leaf in result.leaves():
-        coeffs = schmidt(leaf.state, ["B"]).coeffs
+        coeffs = schmidt(leaf.state, ["B"])
         spectra[leaf.record] = [_jprob(x) for x in coeffs]
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
@@ -192,12 +192,11 @@ def _demo_ghz2epr(args):
 
 
 def _cmd_sweep(args):
-    grid = np.linspace(args.start, args.stop, args.points)
+    grid = np.linspace(args.start, args.stop, args.points).tolist()
+    built = [prop3(a, args.placement) for a in grid]  # rejects a bad point before any output
     rows = []
     print("a               engine          closed form 2a  bound")
-    for a in grid:
-        a = float(a)
-        prepared = prop3(a, args.placement)
+    for a, prepared in zip(grid, built):
         p = run_protocol(prepared.state, prepared.protocol).success_probability
         b = splitting_bound(prepared.state, prop3_target(args.placement))
         print(f"{_prob(a)}  {_prob(p)}  {_prob(2 * a)}  {_prob(b.bound)}")

@@ -46,9 +46,9 @@ def vidal_probability(alpha, beta) -> float:
     """Optimal probability of converting spectrum ``alpha`` into ``beta``.
 
     ``P = min_l  sum_{i>=l} alpha_i / sum_{i>=l} beta_i`` over tail starts l,
-    after padding to a common length and sorting nonincreasing.  Tails that
-    both vanish are skipped; a vanishing denominator against a live numerator
-    contributes +inf (never the minimum).  The result is clamped to [0, 1].
+    after padding to a common length and sorting nonincreasing.  Tail starts
+    where ``beta``'s tail vanishes are skipped (their ratio is +inf or 0/0).
+    The result is clamped to [0, 1].
     """
     a = _as_spectrum(alpha, "alpha")
     b = _as_spectrum(beta, "beta")
@@ -57,13 +57,8 @@ def vidal_probability(alpha, beta) -> float:
     b = np.pad(np.sort(b)[::-1], (0, n - b.size))
     tails_a = np.cumsum(a[::-1])[::-1]
     tails_b = np.cumsum(b[::-1])[::-1]
-    best = np.inf
-    for ta, tb in zip(tails_a, tails_b):
-        if ta < ZERO_TAIL and tb < ZERO_TAIL:
-            continue
-        if tb < ZERO_TAIL:
-            continue  # ratio is +inf
-        best = min(best, ta / tb)
+    live = tails_b >= ZERO_TAIL  # never empty: tails_b[0] is 1
+    best = np.min(tails_a[live] / tails_b[live], initial=np.inf)
     return float(min(max(best, 0.0), 1.0))
 
 
@@ -131,9 +126,7 @@ def splitting_bound(
     parties = _compatible_registers(source, target)
     per_cut: dict[str, float] = {}
     for left, key in splitting_cuts(parties):
-        sa = schmidt(source, left).coeffs
-        sb = schmidt(target, left).coeffs
-        per_cut[key] = vidal_probability(sa, sb)
+        per_cut[key] = vidal_probability(schmidt(source, left), schmidt(target, left))
     return ConversionBound(
         per_cut=per_cut,
         bound=min(per_cut.values()),

@@ -23,7 +23,7 @@ from .errors import (
     SiteOwnership,
 )
 from .invariants import _tangle, _unfold
-from .states import PureState, Register, _cut, reduced_density_sites
+from .states import PureState, Register, _cut
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -241,8 +241,9 @@ def _check_teleport_sites(s: PureState, source: int, epr_sites) -> tuple[int, in
     except (TypeError, ValueError):
         raise MalformedProtocol(f"epr_sites must be a (near, far) pair, got {epr_sites!r}") from None
     _check_step(Teleport(source, near, far), s.register, s.register.sites, 0)
-    pair = reduced_density_sites(s, [near, far])
-    if np.max(np.abs(pair.matrix - _EPR_PROJECTOR)) > EPR_TOL:
+    m = _cut(s, [near, far])
+    # the projector is symmetric under swapping the pair, so site order is moot
+    if not np.max(np.abs(m @ m.conj().T - _EPR_PROJECTOR)) <= EPR_TOL:
         raise NotAnEprResource(
             f"sites ({near}, {far}) are not in the maximally entangled pair state"
         )

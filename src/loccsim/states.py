@@ -1,4 +1,5 @@
-"""Pure states on labeled qubit registers, reduced densities, and Schmidt data.
+"""Pure states on labeled qubit registers, reduced densities, and Schmidt
+coefficients.
 
 Conventions used throughout the package:
 
@@ -182,36 +183,6 @@ class DensityMatrix:
         object.__setattr__(self, "sites", tuple(self.sites))
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtSpectrum:
-    """Squared Schmidt coefficients plus the orthonormal bases of a cut.
-
-    ``coeffs`` is nonincreasing, sums to one, and is padded with (numerical)
-    zeros up to the smaller cut dimension.  The source state is
-    ``sum_i sqrt(coeffs[i]) |left_basis[:, i]> |right_basis[:, i]>``.
-    """
-
-    coeffs: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ConstraintViolation("coeffs must be a nonempty vector")
-        # every check is written so that NaN fails it
-        if not c.min() >= -1e-12:
-            raise ConstraintViolation("negative Schmidt coefficient")
-        if not abs(c.sum() - 1.0) <= NORM_TOL:
-            raise ConstraintViolation(f"Schmidt coefficients sum to {c.sum()!r}, not 1")
-        if not np.all(np.diff(c) <= 1e-12):
-            raise ConstraintViolation("Schmidt coefficients must be nonincreasing")
-        object.__setattr__(self, "coeffs", c)
-
-    def rank(self) -> int:
-        return _rank(self.coeffs)
-
-
 def _rank(weights: np.ndarray) -> int:
     """The one rank rule: the number of ``weights`` (eigenvalues or squared
     singular values) above ``RANK_TOL`` times the largest one; 0 when none is
@@ -349,12 +320,10 @@ def reduced_density_sites(s: PureState, keep_sites: Sequence[int]) -> DensityMat
     return DensityMatrix(parties, rho, tuple(keep))
 
 
-def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:
-    """Schmidt decomposition across the cut (left parties)|(complement).
-
-    Returns squared coefficients (nonincreasing, padded with numerical zeros
-    up to the smaller cut dimension) together with both orthonormal bases.
-    """
+def schmidt(s: PureState, left: Iterable[str]) -> np.ndarray:
+    """Squared Schmidt coefficients across the cut (left parties)|(complement),
+    nonincreasing and padded with numerical zeros up to the smaller cut
+    dimension."""
     wanted = set(left)
     if not wanted:
         raise EmptySubset("empty left subset")
@@ -363,9 +332,7 @@ def schmidt(s: PureState, left: Iterable[str]) -> SchmidtSpectrum:
         raise EmptySubset(f"parties {sorted(wanted)} own no sites")
     if len(left_sites) == s.n_sites:
         raise EmptySubset("cut needs a nonempty complement")
-    u, sv, vh = np.linalg.svd(_cut(s, left_sites), full_matrices=False)
-    # right basis columns are chosen so the state reconstructs without conjugation
-    return SchmidtSpectrum(sv**2, u, vh.T)
+    return np.linalg.svd(_cut(s, left_sites), compute_uv=False) ** 2
 
 
 def apply_site_ops(s: PureState, ops: Mapping[int, np.ndarray]) -> PureState:

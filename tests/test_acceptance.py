@@ -127,7 +127,7 @@ def test_criterion_07_ghz_to_epr():
     assert len(leaves) == 2
     for leaf in leaves:
         assert leaf.status == "success"
-        coeffs = schmidt(leaf.state, ["B"]).coeffs
+        coeffs = schmidt(leaf.state, ["B"])
         assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
     print("criterion 7 PASS: both X outcomes yield a balanced pair, total "
           "probability 1")

@@ -239,6 +239,18 @@ def test_sweep_rejects_empty_grid(points, capsys):
 
 
 @pytest.mark.parametrize(
+    "grid", [["0.2", "0.4", "2"], ["0.4", "0.6", "3"]], ids=["first-point", "last-point"]
+)
+def test_sweep_rejects_out_of_range_grid_before_output(grid, capsys):
+    start, stop, points = grid
+    rc = main(["sweep", "prop3", "--from", start, "--to", stop, "--points", points])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["classify", "s.json"],

@@ -14,7 +14,7 @@ from loccsim.prebuilt import (
     prop3_target,
     tripartite_catalysis_pair,
 )
-from loccsim.states import Register, ghz, schmidt, w_state
+from loccsim.states import Register, _rank, ghz, schmidt, w_state
 
 # ---------------------------------------------------------------------------
 # parameter domain
@@ -45,8 +45,8 @@ def test_bipartite_pair_layout():
         assert s.register.sites == (1, 2, 3, 4, 5)
         assert s.register.parties == ("A", "B", "C", "B", "C")
     # default catalyst is a balanced pair shared between B and C
-    assert schmidt(src, ["A"]).rank() == 2
-    assert schmidt(dst, ["A"]).rank() == 2
+    assert _rank(schmidt(src, ["A"])) == 2
+    assert _rank(schmidt(dst, ["A"])) == 2
 
 
 def test_bipartite_pair_weights():
@@ -140,7 +140,7 @@ def test_ghz_to_epr_all_outcomes():
     assert len(leaves) == 2
     for leaf in leaves:
         assert leaf.status == "success"
-        coeffs = schmidt(leaf.state, ["B"]).coeffs
+        coeffs = schmidt(leaf.state, ["B"])
         assert np.allclose(coeffs, [0.5, 0.5], atol=1e-12)
 
 

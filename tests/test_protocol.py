@@ -177,9 +177,9 @@ def test_teleport_preserves_pair_spectrum():
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     pair = PureState(Register.of([(1, "A"), (4, "C")]), v / np.linalg.norm(v))
     full = tensor(pair, epr(Register.of([(2, "A"), (3, "B")])))
-    before = schmidt(pair, ["A"]).coeffs
+    before = schmidt(pair, ["A"])
     out = teleport(full, 1, (2, 3))
-    after = schmidt(out, ["B"]).coeffs
+    after = schmidt(out, ["B"])
     assert np.allclose(before, after, atol=1e-12)
 
 
@@ -236,6 +236,28 @@ def test_teleport_requires_resource_pair():
     )
     with pytest.raises(NotAnEprResource):
         teleport(tensor(payload, lopsided), 1, (2, 3))
+
+
+@pytest.mark.parametrize("amps", [[0, 1, 1, 0], [1, 0, 0, -1]], ids=["psi_plus", "phi_minus"])
+def test_teleport_rejects_other_bell_states(amps):
+    payload, _unused = payload_with_spectator(np.random.default_rng(2))
+    bell = PureState(Register.of([(2, "A"), (3, "B")]), np.array(amps, complex) / np.sqrt(2))
+    with pytest.raises(NotAnEprResource):
+        teleport(tensor(payload, bell), 1, (2, 3))
+
+
+def test_teleport_rejects_pair_inside_ghz():
+    payload, _unused = payload_with_spectator(np.random.default_rng(4))
+    shared = ghz(Register.of([(2, "A"), (3, "B"), (5, "C")]))
+    with pytest.raises(NotAnEprResource):
+        teleport(tensor(payload, shared), 1, (2, 3))
+
+
+def test_teleport_accepts_pair_listed_far_first():
+    payload, _unused = payload_with_spectator(np.random.default_rng(6))
+    out = teleport(tensor(payload, epr(Register.of([(3, "B"), (2, "A")]))), 1, (2, 3))
+    moved = out.permuted((3, 4)).amplitudes
+    assert abs(np.vdot(moved, payload.amplitudes)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_teleport_site_checks():
