@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Profile the alternating-least-squares rank probe on reference states.
 
-Prints the best residual at each probed rank, with the rule that stopped the
-probe, the sweeps it ran and its wall time, so the convergence cliff is
-visible: the residual stays large up to one below the product-term count and
-collapses at the count itself.  The flat triple's rank-2 row shows the border-rank plateau
-(small but firmly above the convergence tolerance).
+Prints each state's proven lower bound on the product-term count and the rule
+that proves it, then the best residual at each probed rank, with the rule
+that stopped the probe, the sweeps it ran and its wall time, so the
+convergence cliff is visible: the residual stays large up to one below the
+product-term count and collapses at the count itself.  Ranks below the proven
+bound are marked excluded; a product-term scan runs no fit there.  The flat
+triple's rank-2 row shows the border-rank plateau (small but firmly above the
+convergence tolerance).
 """
 
 import argparse
 
-from loccsim.invariants import PartyTensor, ProbeConfig, cp_rank_probe
+from loccsim.invariants import PartyTensor, ProbeConfig, cp_rank_probe, proven_lower_bound
 from loccsim.prebuilt import bipartite_catalysis_pair
 from loccsim.states import Register, ghz, w_state
 
@@ -18,11 +21,12 @@ ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
 
 def profile(name: str, state, max_rank: int, config: ProbeConfig) -> None:
-    print(f"=== {name} ===")
     t = PartyTensor.from_state(state)
+    bound, rule = proven_lower_bound(t)
+    print(f"=== {name}: proven bound {bound} ({rule}) ===")
     for r in range(1, max_rank + 1):
         probe = cp_rank_probe(t, r, config)
-        marker = "converged" if probe.converged else ""
+        marker = "excluded" if r < bound else "converged" if probe.converged else ""
         print(
             f"  r={r}: residual {probe.best_residual:.3e}  "
             f"stop {probe.stop_reason:<9} after {probe.sweeps:>4} sweeps in {probe.wall_s:6.3f} s  {marker}"

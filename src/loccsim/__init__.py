@@ -35,7 +35,6 @@ from .errors import (
     NotUnitary,
     ParameterOutOfRange,
     ParseError,
-    ProbeWorkerLost,
     RegisterMismatch,
     SemanticError,
     SiteOwnership,
@@ -50,6 +49,7 @@ from .invariants import (
     cp_rank_probe,
     flattening_ranks,
     product_term_estimate,
+    proven_lower_bound,
     slocc_class,
     three_tangle,
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -273,9 +274,15 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
+    made = None  # a report file this call created, removed unless the command succeeds
     try:
         args = _PARSER.parse_args(argv)
+        if args.json:
+            existed = os.path.exists(args.json)
+            open(args.json, "a").close()  # an unwritable path fails before the command; truncates nothing
+            made = None if existed else args.json
         code, doc = args.func(args)
+        made = None
         if args.json:
             with open(args.json, "w") as fh:
                 json.dump(doc, fh, indent=2)
@@ -287,6 +294,9 @@ def main(argv=None) -> int:
     except LoccSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if made:
+            os.remove(made)
 
 
 if __name__ == "__main__":

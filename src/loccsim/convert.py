@@ -28,6 +28,9 @@ ZERO_TAIL = 1e-12
 
 IMPOSSIBLE = "impossible"
 UNDETERMINED = "undetermined"
+_FIT_NOTE = (
+    "product-term counts rest on a converged-fit search; failures below the found rank are evidence, not proof"
+)
 
 
 def _as_spectrum(x, name: str) -> np.ndarray:
@@ -258,6 +261,7 @@ def catalysis_verdict(
         )
 
     if est_src.terms != est_tgt.terms:
+        heuristic = est_src.heuristic or est_tgt.heuristic
         return CatalysisVerdict(
             feasible=IMPOSSIBLE,
             party_ranks=triples,
@@ -265,12 +269,9 @@ def catalysis_verdict(
             product_term_obstruction=ProductTermObstruction(
                 source_terms=est_src.terms,
                 target_terms=est_tgt.terms,
-                heuristic=est_src.heuristic or est_tgt.heuristic,
+                heuristic=heuristic,
             ),
-            notes=(
-                "product-term counts rest on a converged-fit search; "
-                "failures below the found rank are evidence, not proof",
-            ),
+            notes=(_FIT_NOTE,) if heuristic else (),
         )
 
     return CatalysisVerdict(

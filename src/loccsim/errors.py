@@ -75,10 +75,6 @@ class CapExceeded(LoccSimError):
     """Product-term scan reached the rank cap without a converged fit."""
 
 
-class ProbeWorkerLost(LoccSimError):
-    """A rank-probe worker process ended without sending back its result."""
-
-
 class ParseError(LoccSimError):
     """Protocol text could not be tokenized/parsed.
 

@@ -2,23 +2,22 @@
 
 The rank probe runs alternating least squares for a rank-r CP model of the
 state grouped into one tensor axis per party.  A converged fit proves the
-minimal number of product terms is <= r.  A failed probe proves nothing: it
-only says that no restart fit below ``fit_tol`` within the sweep cap, which
-is why every consumer of the probe labels negative results heuristic.
+minimal number of product terms is <= r; a failed probe proves nothing.  The
+lower bounds come from rank rules instead: the flattening ranks, Ja'Ja's
+rank of a 2 x n x n pencil, and the Alder-Strassen bound for the structure
+tensor of an algebra.  A count is heuristic only where it lies above them.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
-from contextlib import closing
 from dataclasses import asdict, dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
+from .errors import CapExceeded, ConstraintViolation, WrongArity
 from .states import RANK_TOL, PureState, _cut, _rank
 
 CLASS_TOL = 1e-8
@@ -160,7 +159,6 @@ class ProbeConfig:
     seed: int = 0x5EED
 
     def __post_init__(self):
-        # checked here, before any probe worker forks around the seed
         if self.seed < 0:
             raise ConstraintViolation(f"probe seed must be non-negative, got {self.seed}")
 
@@ -176,7 +174,9 @@ class RankProbeResult:
     restarts: int
     seed: int
     config: ProbeConfig
-    stop_reason: str  # "converged" | "stalled" | "cap", see cp_rank_probe
+    # "converged" | "stalled" | "cap" from cp_rank_probe; "excluded" or "exact",
+    # with no ALS, from product_term_estimate
+    stop_reason: str
     sweeps: int
     wall_s: float = field(compare=False)  # timing, so equality ignores it
 
@@ -286,103 +286,153 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
 
 @dataclass(frozen=True)
 class ProductTermEstimate:
-    """Smallest converged CP rank, with the proven lower bound it was scanned from."""
+    """Smallest rank with a converged or exact fit, and the proven lower bound it was scanned from."""
 
     terms: int
     heuristic: bool
     flattening_lower_bound: int
     probes: tuple[RankProbeResult, ...]
+    lower_bound: int
+    lower_bound_rule: str  # "flattening" | "pencil" | "alder-strassen"
 
     def to_dict(self) -> dict:
         return asdict(self, dict_factory=_doc)
 
 
-# The most ranks a scan keeps in flight.  Two is the width that was measured
-# (wall time, CPU seconds and worker RSS, on a 2-CPU host); a wider look-ahead
-# mostly runs ranks above the answer only to discard them.
-_LOOKAHEAD = 2
+# ---------------------------------------------------------------------------
+# proven lower bounds on the number of product terms
 
-# the code of the module's own probe; a replaced cp_rank_probe (a wrapper, a
-# test double) has other code, even where it copies the name and docstring
-_OWN_PROBE_CODE = cp_rank_probe.__code__
+# seed of the draws the bound rules make, so no proven bound depends on the probe seed
+_BOUND_SEED = 0xB0D
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _normals(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    # complex draws: one lands near a singular point far less often than a real one
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _probe_task(conn, t: PartyTensor, r: int, cfg: ProbeConfig) -> None:
-    # runs in a forked worker and sends back the probe, or the error it raised
-    try:
-        outcome = (cp_rank_probe(t, r, cfg), None)
-    except Exception as exc:
-        outcome = (None, exc)
-    conn.send(outcome)
+def _matrix_rank(a: np.ndarray, scale: float = 0.0) -> int:
+    # rank through states._rank; against a scale (a bound on its largest
+    # singular value), a vanishing matrix has rank 0
+    weights = np.linalg.svd(a, compute_uv=False) ** 2
+    return _rank(np.append(weights, scale**2)) - 1 if scale else _rank(weights)
 
 
-def _rank_probes(t: PartyTensor, ranks: range, cfg: ProbeConfig) -> Iterator[RankProbeResult]:
-    """``cp_rank_probe(t, r, cfg)`` for each ``r`` in ``ranks``, in rank order.
+def _normalized_slices(t: PartyTensor, axis: int):
+    """``(X, M, g, rng)``: the slices Tᵢ of ``t`` along ``axis`` as Mᵢ = X⁻¹Tᵢ,
+    where X = Σ αᵢTᵢ is the best-conditioned of four drawn combinations, and
+    g a drawn combination of the Mᵢ; None when that X is singular."""
+    rng = np.random.default_rng(_BOUND_SEED)
+    ts = np.moveaxis(t.data, axis, 0)
+    xs = np.tensordot(_normals(rng, 4, len(ts)), ts, axes=1)
+    sv = np.linalg.svd(xs, compute_uv=False)
+    best = np.argmax(sv[:, -1] / sv[:, 0])
+    if _rank(sv[best] ** 2) < len(sv[best]):
+        return None
+    ms = np.linalg.solve(xs[best], ts)
+    return xs[best], ms, np.tensordot(_normals(rng, len(ms)), ms, axes=1), rng
 
-    Where it can, it keeps the next ranks in flight in forked worker
-    processes, one probe each.  Closing the generator kills and reaps the
-    workers still running; a worker that dies before it sends its result
-    raises ProbeWorkerLost.
-    """
-    import multiprocessing  # here, not at module load: it costs every import ~20 ms
 
-    width = min(_LOOKAHEAD, _usable_cpus(), len(ranks))
-    if (
-        width < 2
-        # a forked worker inherits the tensor and the loaded modules, where
-        # spawn or forkserver would import numpy again in every worker; the
-        # thread numpy starts, OpenBLAS's, is stopped by OpenBLAS's fork handler
-        or "fork" not in multiprocessing.get_all_start_methods()
-        # a daemonic process (a pool worker, say) may not start children
-        or multiprocessing.current_process().daemon
-        # a replaced probe (a wrapper, a test double) runs in this process,
-        # so whatever it records is not lost in a worker
-        or getattr(cp_rank_probe, "__code__", None) is not _OWN_PROBE_CODE
-    ):
-        yield from (cp_rank_probe(t, r, cfg) for r in ranks)
-        return
-    ctx = multiprocessing.get_context("fork")
-    pending: deque = deque()  # (rank, worker, reading end of its pipe)
+def _eigen_structure(g: np.ndarray) -> list[tuple[complex, int, int]] | None:
+    """``(λ, multiplicity, Jordan blocks longer than one)`` for each eigenvalue
+    of ``g``; None where a rank deciding them changes when the threshold falls
+    1e4-fold.  rank((g - λ)ᵏ) is read as the rank of g - λ on an orthonormal
+    basis of the image of (g - λ)ᵏ⁻¹, so every rank weighs singular values
+    linear in the eigenvalue gaps, against one scale."""
+    n, scale = len(g), 2 * np.linalg.norm(g, 2) or 1.0  # bounds |g - λ| for every eigenvalue λ
+    groups: list[list[complex]] = []  # round-off splits a Jordan block by ~1e-8 (length 2), 6e-6 (length 3)
+    for lam in np.linalg.eigvals(g):
+        near = [grp for grp in groups if abs(grp[0] - lam) < 5e-5 * scale]
+        near[0].append(lam) if near else groups.append([lam])
+    structure = []
+    for grp in groups:
+        lam, size, basis, ranks = np.mean(grp), len(grp), np.eye(n), [n]
+        while len(ranks) <= size and ranks[-1] > n - size:
+            image = (g - lam * np.eye(n)) @ basis
+            ranks.append(_matrix_rank(image, scale))
+            if _matrix_rank(image, 1e-4 * scale) != ranks[-1]:
+                return None
+            basis = np.linalg.svd(image)[0][:, : ranks[-1]]
+        if ranks[-1] != n - size:
+            return None  # the group is not one eigenvalue
+        structure.append((lam, size, ranks[1] - ranks[2] if len(ranks) > 2 else 0))
+    return structure
 
-    def oldest() -> RankProbeResult:
-        rank, worker, reader = pending[0]
-        try:
-            probe, exc = reader.recv()
-        except EOFError:
-            worker.join()
-            raise ProbeWorkerLost(
-                f"the rank-{rank} probe worker ended with exit code {worker.exitcode}"
-            ) from None
-        pending.popleft()
-        worker.join()
-        reader.close()
-        if exc is not None:
-            raise exc
-        return probe
 
-    try:
-        for r in ranks:
-            reader, writer = ctx.Pipe(duplex=False)
-            worker = ctx.Process(target=_probe_task, args=(writer, t, r, cfg), daemon=True)
-            worker.start()
-            # the worker now holds the only writing end, so its death ends the pipe
-            writer.close()
-            pending.append((r, worker, reader))
-            if len(pending) == width:
-                yield oldest()
-        while pending:
-            yield oldest()
-    finally:
-        for _, worker, reader in pending:
-            worker.kill()
-            worker.join()
-            reader.close()
+def _pencil_bound(t: PartyTensor) -> tuple[int, str] | None:
+    """Ja'Ja's rank of a regular 2 x n x n pencil: n plus, for its most
+    defective eigenvalue, the number of Jordan blocks longer than one."""
+    axis = int(np.argmin(t.shape))
+    pencil = len(t.shape) == 3 and t.shape[axis] == 2 and t.shape[axis - 1] == t.shape[axis - 2]
+    found = pencil and _normalized_slices(t, axis)
+    structure = found and _eigen_structure(found[2])
+    if not structure:
+        return None  # not a pencil, a singular one, or no clear-cut Jordan structure
+    return t.shape[axis - 1] + max(longer for *_, longer in structure), "pencil"
+
+
+def _algebra_bound(t: PartyTensor) -> tuple[int, str] | None:
+    """Alder-Strassen's 2m - k for an m x m x m tensor that is the structure
+    tensor of a commutative unital algebra with k maximal ideals: its
+    normalized slices commute, span a space closed under products and have a
+    cyclic vector, and k is the number of eigenvalues of a drawn combination."""
+    found = len(t.shape) == 3 and len(set(t.shape)) == 1 and _normalized_slices(t, 0)
+    if not found:
+        return None
+    _, ms, g, rng = found
+    m = len(ms)
+    if _matrix_rank(ms @ _normals(rng, m)) < m:
+        return None  # no cyclic vector
+    ms = ms / np.linalg.norm(ms, axis=(1, 2), keepdims=True)
+    products = ms[:, None] @ ms[None]  # (i, j) -> Mᵢ Mⱼ
+    if _matrix_rank((products - products.transpose(1, 0, 2, 3)).reshape(m * m, -1), 2.0) > 0:
+        return None  # the slices do not commute
+    span = np.concatenate([ms, products.reshape(m * m, m, m)]).reshape(m + m * m, -1)
+    if _matrix_rank(span) > m:
+        return None  # their span is not closed under products
+    structure = _eigen_structure(g)
+    return structure and (2 * m - len(structure), "alder-strassen")
+
+
+def proven_lower_bound(t: PartyTensor) -> tuple[int, str]:
+    """The largest proven lower bound on the number of product terms, and the
+    rule that proves it: ``"pencil"``, ``"alder-strassen"`` or ``"flattening"``."""
+    rules = [_pencil_bound(t), _algebra_bound(t), (max(flattening_ranks(t)), "flattening")]
+    return max(filter(None, rules), key=lambda bound: bound[0])
+
+
+def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig) -> RankProbeResult | None:
+    """The ``"exact"`` entry for ``rank`` of a tensor a bound rule applies to:
+    the decomposition read off the generalized eigenspaces of the rule's g,
+    each block a scalar (its size in terms) plus a nilpotent part (the ranks
+    of its principal components); None where that has other than ``rank``
+    terms or fits no better than ``fit_tol``.  It meets the bound on unit
+    tensors, pencils with one defective eigenvalue and Jordan blocks at most 2
+    long, and algebras whose local factors have dimension 1 or 2."""
+    start = time.perf_counter()
+    axis = int(np.argmin(t.shape))  # the pencil's axis of dimension 2, or 0 for a cube
+    x, ms, g, _ = _normalized_slices(t, axis)
+    structure = _eigen_structure(g)  # as the rule found it: the draws are the same
+    sizes = [size for _, size, _ in structure]
+    powers = [np.linalg.matrix_power(g - lam * np.eye(len(g)), size) for lam, size, _ in structure]
+    u = np.hstack([np.linalg.svd(a)[2][len(a) - size :].conj().T for a, size in zip(powers, sizes)])
+    blocks = np.linalg.solve(u, ms @ u)
+    fit = np.zeros_like(blocks)
+    terms = sum(sizes)  # the scalar parts
+    for first, size in zip(np.cumsum([0, *sizes]), sizes):
+        part = np.s_[:, first : first + size, first : first + size]
+        fit[part] = np.trace(blocks[part], axis1=1, axis2=2)[:, None, None] / size * np.eye(size)
+        nilpotent = (blocks[part] - fit[part]).reshape(len(ms), -1)
+        coef, sv, mats = np.linalg.svd(nilpotent, full_matrices=False)
+        for q in range(_matrix_rank(nilpotent, np.linalg.norm(blocks))):
+            left, s, right = np.linalg.svd(mats[q].reshape(size, size))
+            k = _rank(s**2)
+            fit[part] += sv[q] * coef[:, q, None, None] * ((left[:, :k] * s[:k]) @ right[:k])
+            terms += k
+    residual = float(np.linalg.norm(np.moveaxis(t.data, axis, 0) - x @ u @ fit @ np.linalg.inv(u)))
+    if terms != rank or not residual < cfg.fit_tol:
+        return None
+    return RankProbeResult(rank, residual, True, 0, cfg.seed, cfg, "exact", 0, time.perf_counter() - start)
 
 
 def product_term_estimate(
@@ -390,38 +440,27 @@ def product_term_estimate(
     config: ProbeConfig | None = None,
     cap: int | None = None,
 ) -> ProductTermEstimate:
-    """Scan ranks upward from the flattening lower bound until a fit converges.
+    """Scan ranks upward from ``proven_lower_bound`` until a fit converges.
 
-    The returned count is certified when it equals the lower bound.  Above
-    it, each failed probe below the count only found no fit below
-    ``fit_tol`` within the sweep cap, which proves no lower bound, so the
-    estimate carries a heuristic flag.  Raises CapExceeded when no rank up
-    to ``cap`` (default: the number of tensor entries) converges.
-
-    The scan looks ahead: it keeps the next two ranks in flight, each probed
-    in its own forked worker process, where two CPUs or more are usable.
-    Results are read strictly in rank order and the scan stops at the first
-    converged rank; the workers of the ranks above it are killed and reaped
-    before the call returns or raises, so no process outlives it.  Each probe
-    is a deterministic function of (tensor, rank, config), so the estimate is
-    the one a sequential scan returns.  The probes run in-process, one after
-    another, with one usable CPU, where the fork start method does not exist,
-    inside a daemonic process such as a pool worker, and when
-    ``cp_rank_probe`` has been replaced.  A worker that dies without a result
-    raises ProbeWorkerLost.
+    Ranks from the flattening bound up to below it get ``"excluded"`` entries
+    and no fit; at the bound, ``_exact_fit``'s entry replaces ALS where it
+    fits.  A count above the bound rests on failed probes, which prove
+    nothing, so it is heuristic.  Raises CapExceeded, with no fit where ``cap``
+    is below the bound, when no rank up to ``cap`` (default: the number of
+    tensor entries) converges.
     """
     cfg = config or ProbeConfig()
-    lower = max(flattening_ranks(t))
+    flat = max(flattening_ranks(t))
+    lower, rule = proven_lower_bound(t)
     top = cap if cap is not None else t.size
-    probes = []
-    with closing(_rank_probes(t, range(lower, top + 1), cfg)) as results:
-        for probe in results:
-            probes.append(probe)
-            if probe.converged:
-                return ProductTermEstimate(
-                    terms=probe.tested_rank,
-                    heuristic=probe.tested_rank > lower,
-                    flattening_lower_bound=lower,
-                    probes=tuple(probes),
-                )
-    raise CapExceeded(f"no converged CP fit up to rank {top} (lower bound {lower})")
+    if top < lower:
+        raise CapExceeded(f"rank cap {top} is below the proven lower bound {lower} ({rule})")
+    probes = [
+        RankProbeResult(r, np.inf, False, 0, cfg.seed, cfg, "excluded", 0, 0.0) for r in range(flat, lower)
+    ]
+    exact = rule != "flattening" and _exact_fit(t, lower, cfg)
+    for r in range(lower, top + 1):
+        probes.append(exact if r == lower and exact else cp_rank_probe(t, r, cfg))
+        if probes[-1].converged:
+            return ProductTermEstimate(r, r > lower, flat, tuple(probes), lower, rule)
+    raise CapExceeded(f"no converged CP fit up to rank {top} (lower bound {lower}, {rule})")

@@ -324,6 +324,25 @@ def test_unreadable_paths_are_one_line(tmp_path, ghz_file, capsys):
     assert len(err) == 2 and all(line.startswith("error: ") for line in err)
 
 
+def test_unwritable_report_fails_before_the_command_runs(capsys):
+    missing_dir = "/nonexistent-loccsim-dir/report.json"
+    assert main(["demo", "prop3", "0.4", "--json", missing_dir]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_failed_command_leaves_report_paths_as_they_were(tmp_path, capsys):
+    made, kept = tmp_path / "made.json", tmp_path / "kept.json"
+    kept.write_text("earlier report\n")
+    for report in (made, kept):
+        assert main(["demo", "prop3", "0.2", "--json", str(report)]) == 1
+    assert not made.exists()
+    assert kept.read_text() == "earlier report\n"
+    assert main(["demo", "prop3", "0.4", "--json", str(kept)]) == 0
+    assert json.loads(kept.read_text())["demo"] == "prop3"
+
+
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

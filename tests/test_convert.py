@@ -178,14 +178,19 @@ def test_bound_serialization():
 # in the acceptance suite)
 
 
-def fake_probe(by_terms):
+def fake_probe(by_terms, heuristic=True):
     calls = []
 
     def probe(state):
         terms = by_terms[len(calls)]
         calls.append(state)
         return ProductTermEstimate(
-            terms=terms, heuristic=True, flattening_lower_bound=2, probes=()
+            terms=terms,
+            heuristic=heuristic,
+            flattening_lower_bound=2,
+            probes=(),
+            lower_bound=2 if heuristic else terms,
+            lower_bound_rule="flattening" if heuristic else "pencil",
         )
 
     return probe
@@ -226,6 +231,14 @@ def test_verdict_equal_ranks_different_terms():
     assert v.product_term_obstruction.source_terms == 6
     assert v.product_term_obstruction.target_terms == 4
     assert v.product_term_obstruction.heuristic
+
+
+@pytest.mark.parametrize("heuristic", [True, False])
+def test_verdict_notes_evidence_only_for_heuristic_counts(heuristic):
+    src, dst = bipartite_catalysis_pair()
+    v = catalysis_verdict(src, dst, rank_probe=fake_probe([6, 4], heuristic))
+    assert v.product_term_obstruction.heuristic is heuristic
+    assert any("evidence, not proof" in note for note in v.notes) is heuristic
 
 
 def test_verdict_equal_terms_undetermined():

@@ -1,10 +1,6 @@
 import dataclasses
-import faulthandler
 import json
 import multiprocessing
-import multiprocessing.connection
-import os
-import signal
 
 import numpy as np
 import pytest
@@ -12,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loccsim import invariants
-from loccsim.convert import ProductTermObstruction
-from loccsim.errors import CapExceeded, ConstraintViolation, ProbeWorkerLost, WrongArity
+from loccsim.convert import ProductTermObstruction, catalysis_verdict
+from loccsim.errors import CapExceeded, ConstraintViolation, WrongArity
 from loccsim.invariants import (
     PartyTensor,
     ProbeConfig,
@@ -23,10 +19,11 @@ from loccsim.invariants import (
     cp_rank_probe,
     flattening_ranks,
     product_term_estimate,
+    proven_lower_bound,
     slocc_class,
     three_tangle,
 )
-from loccsim.prebuilt import bipartite_catalysis_pair
+from loccsim.prebuilt import bipartite_catalysis_pair, tripartite_catalysis_pair
 from loccsim.states import (
     PureState,
     Register,
@@ -43,6 +40,19 @@ from loccsim.states import (
 )
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
+DEF = Register.of([(4, "A"), (5, "B"), (6, "C")])
+W_EPR, GHZ_EPR = bipartite_catalysis_pair()
+W_W, GHZ_W = tripartite_catalysis_pair("w")
+W_GHZ, GHZ_GHZ = tripartite_catalysis_pair("ghz")
+
+
+def _near_ghz(eps: float, register=ABC) -> PureState:
+    # |+00> + |φ11> with φ at angle π/4 + eps: GHZ class with two product
+    # terms, whose pencil eigenvalues and algebra characters lie ~eps apart
+    plus = np.array([1.0, 1.0]) / np.sqrt(2)
+    phi = np.array([np.cos(np.pi / 4 + eps), np.sin(np.pi / 4 + eps)])
+    v = np.kron(plus, [1.0, 0, 0, 0]) + np.kron(phi, [0, 0, 0, 1.0])
+    return PureState(register, v / np.linalg.norm(v))
 
 
 def random_state(rng, register=ABC):
@@ -278,7 +288,8 @@ def test_estimate_w_and_flat_pair():
     est_w = product_term_estimate(PartyTensor.from_state(w_state(ABC)))
     assert est_w.terms == 3
     assert est_w.flattening_lower_bound == 2
-    assert est_w.heuristic  # found above the flattening bound
+    assert (est_w.lower_bound, est_w.lower_bound_rule) == (3, "pencil")
+    assert not est_w.heuristic  # the pencil rule proves the count
 
     est_g = product_term_estimate(PartyTensor.from_state(ghz(ABC)))
     assert est_g.terms == 2
@@ -292,121 +303,11 @@ def test_estimate_product_state():
 
 
 def test_estimate_cap():
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded, match="below the proven lower bound 3 \\(pencil\\)"):
         product_term_estimate(PartyTensor.from_state(w_state(ABC)), cap=2)
-    assert multiprocessing.active_children() == []
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two usable CPUs, so the scan probes in worker processes on any machine."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-
-
-@pytest.fixture
-def no_hang():
-    """End the test run with a traceback instead of hanging in a scan."""
-    faulthandler.dump_traceback_later(300, exit=True)
-    yield
-    faulthandler.cancel_dump_traceback_later()
-
-
-def test_estimate_probes_match_direct_probes(two_cpus):
-    t = PartyTensor.from_state(w_state(ABC))
-    est = product_term_estimate(t)
-    assert est.probes == (cp_rank_probe(t, 2), cp_rank_probe(t, 3))
-
-
-def test_estimate_leaves_no_process(two_cpus):
-    product_term_estimate(PartyTensor.from_state(w_state(ABC)))
-    assert multiprocessing.active_children() == []
-    # nothing converges, so every rank up to the cap runs in a worker
-    with pytest.raises(CapExceeded):
-        product_term_estimate(
-            PartyTensor.from_state(w_state(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=4
-        )
-    assert multiprocessing.active_children() == []
-
-
-def test_estimate_keeps_two_ranks_in_flight_on_many_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
-    live_at_start = []
-    pipe = multiprocessing.connection.Pipe
-
-    def counting_pipe(*args, **kwargs):
-        # one pipe per worker, made just before the worker starts
-        live_at_start.append(len(multiprocessing.active_children()))
-        return pipe(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing.connection, "Pipe", counting_pipe)
-    with pytest.raises(CapExceeded):
-        product_term_estimate(
-            PartyTensor.from_state(w_state(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=6
-        )
-    assert len(live_at_start) == 5  # ranks 2..6, each in a worker
-    assert max(live_at_start) == 1
-
-
-def test_estimate_raises_when_a_worker_dies(two_cpus, no_hang, monkeypatch):
-    task = invariants._probe_task
-
-    def dies_at_rank_3(conn, t, r, cfg):
-        if r == 3:
-            os.kill(os.getpid(), signal.SIGKILL)
-        task(conn, t, r, cfg)
-
-    monkeypatch.setattr(invariants, "_probe_task", dies_at_rank_3)
-    # rank 3 is the last rank, so no later worker start happens to end its pipe
-    with pytest.raises(ProbeWorkerLost, match="rank-3 .* exit code -9"):
-        product_term_estimate(PartyTensor.from_state(w_state(ABC)), cap=3)
-    assert multiprocessing.active_children() == []
-
-
-def test_estimate_reraises_a_worker_error(two_cpus, monkeypatch):
-    def fails(t, r, cfg=None):
-        raise ConstraintViolation(f"rank {r} refused")
-
-    monkeypatch.setattr(invariants, "cp_rank_probe", fails)
-    monkeypatch.setattr(invariants, "_OWN_PROBE_CODE", fails.__code__)
-    with pytest.raises(ConstraintViolation, match="rank 2 refused"):
-        product_term_estimate(PartyTensor.from_state(w_state(ABC)))
-    assert multiprocessing.active_children() == []
-
-
-def test_estimate_inside_daemonic_worker(two_cpus):
-    t = PartyTensor.from_state(w_state(ABC))
-    with multiprocessing.Pool(1) as pool:
-        inside = pool.apply_async(product_term_estimate, (t,)).get(timeout=120)
-    assert inside == product_term_estimate(t)
-
-
-def _one_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
-
-
-def _no_fork(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-
-
-@pytest.mark.parametrize("setting", [_one_cpu, _no_fork])
-def test_estimate_runs_in_process(setting, monkeypatch):
-    t = PartyTensor.from_state(w_state(ABC))
-    expected = product_term_estimate(t)
-    setting(monkeypatch)
-
-    def no_worker(*args, **kwargs):
-        raise AssertionError("this scan must not start a worker")
-
-    monkeypatch.setattr(multiprocessing, "get_context", no_worker)
-    assert product_term_estimate(t) == expected
-
-
-def test_estimate_calls_a_replaced_probe_in_process(two_cpus, monkeypatch):
+def _recording_probe(monkeypatch) -> list[int]:
     called = []
 
     def recording(t, r, cfg=None):
@@ -414,8 +315,147 @@ def test_estimate_calls_a_replaced_probe_in_process(two_cpus, monkeypatch):
         return cp_rank_probe(t, r, cfg)
 
     monkeypatch.setattr(invariants, "cp_rank_probe", recording)
-    est = product_term_estimate(PartyTensor.from_state(w_state(ABC)))
-    assert called == [2, 3] and est.terms == 3
+    return called
+
+
+def test_estimate_leaves_no_process():
+    # every fit runs in this process, also on a scan that ends in CapExceeded
+    product_term_estimate(PartyTensor.from_state(W_W))
+    with pytest.raises(CapExceeded):
+        product_term_estimate(PartyTensor.from_state(W_W), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=8)
+    assert multiprocessing.active_children() == []
+
+
+def test_estimate_probes_match_direct_probes():
+    t = PartyTensor.from_state(W_W)
+    est = product_term_estimate(t)
+    excluded = [(p.tested_rank, p.stop_reason, p.best_residual, p.converged, p.sweeps) for p in est.probes[:-1]]
+    assert excluded == [(r, "excluded", float("inf"), False, 0) for r in (4, 5, 6)]
+    assert est.probes[-1] == cp_rank_probe(t, 7)
+
+
+def test_estimate_calls_a_replaced_probe_in_process(monkeypatch):
+    called = _recording_probe(monkeypatch)
+    est = product_term_estimate(PartyTensor.from_state(W_W))
+    # the ranks below the Alder-Strassen bound run no fit
+    assert called == [7] and est.terms == 7
+
+
+def test_estimate_falls_back_to_als_when_the_exact_fit_misses_fit_tol(monkeypatch):
+    called = _recording_probe(monkeypatch)
+    strict = ProbeConfig(max_iters=50, fit_tol=1e-30)
+    with pytest.raises(CapExceeded):
+        product_term_estimate(PartyTensor.from_state(ghz(ABC)), strict, cap=2)
+    assert called == [2]
+
+
+def test_exact_entry_mends_the_catalyst_count():
+    # the rank-4 probe of this catalyst's GHZ side hit the cap, so a scan
+    # from the flattening bound reported 5 terms
+    cat = ghz_class(1.024503, 4.847645, 0.766858, 0.514382, 0.259324, DEF)
+    verdict = catalysis_verdict(tensor(w_state(ABC), cat), tensor(ghz(ABC), cat))
+    assert verdict.feasible == "impossible"
+    ob = verdict.product_term_obstruction
+    assert (ob.source_terms, ob.target_terms, ob.heuristic) == (6, 4, False)
+    est = product_term_estimate(PartyTensor.from_state(tensor(ghz(ABC), cat)))
+    (exact,) = est.probes
+    assert (exact.tested_rank, exact.stop_reason, exact.sweeps, exact.converged) == (4, "exact", 0, True)
+    assert exact.best_residual < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# proven lower bounds
+
+
+@pytest.mark.parametrize(
+    "state, bound",
+    [(w_state(ABC), 3), (ghz(ABC), 2), (W_EPR, 6), (GHZ_EPR, 4), (_near_ghz(1e-3), 2)],
+    ids=["W", "GHZ", "W+EPR", "GHZ+EPR", "near-GHZ"],
+)
+def test_pencil_bound(state, bound):
+    assert invariants._pencil_bound(PartyTensor.from_state(state)) == (bound, "pencil")
+
+
+@pytest.mark.parametrize(
+    "state, bound",
+    [
+        (W_W, 7),
+        (GHZ_W, 6),
+        (W_GHZ, 6),
+        (GHZ_GHZ, 4),
+        # the catalyst's two characters lie ~1e-3 apart
+        (tensor(ghz(ABC), _near_ghz(1e-3, DEF)), 4),
+        (tensor(w_state(ABC), _near_ghz(1e-3, DEF)), 6),
+    ],
+    ids=["W+W", "GHZ+W", "W+GHZ", "GHZ+GHZ", "GHZ+near-GHZ", "W+near-GHZ"],
+)
+def test_algebra_bound(state, bound):
+    t = PartyTensor.from_state(state)
+    assert invariants._algebra_bound(t) == (bound, "alder-strassen")
+    assert invariants._pencil_bound(t) is None  # no party of dimension 2
+    est = product_term_estimate(t, cap=bound)
+    assert (est.terms, est.heuristic, est.lower_bound_rule) == (bound, False, "alder-strassen")
+
+
+def test_rules_decline_a_random_tensor_and_a_singular_pencil():
+    rng = np.random.default_rng(1401)
+    v = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
+    random_cube = PartyTensor(("A", "B", "C"), (4, 4, 4), v / np.linalg.norm(v))
+    # no combination of these slices is invertible: their last rows vanish
+    v = np.zeros((2, 3, 3))
+    v[0, 0, 0] = v[0, 1, 2] = v[1, 1, 1] = 1.0
+    singular = PartyTensor(("A", "B", "C"), (2, 3, 3), v / np.linalg.norm(v))
+    for t in (random_cube, singular):
+        assert invariants._pencil_bound(t) is None
+        assert invariants._algebra_bound(t) is None
+
+
+def test_eigen_structure_reads_jordan_blocks_and_declines_unclear_gaps():
+    jordan = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    structure = invariants._eigen_structure(jordan)
+    assert [(size, longer) for _, size, longer in structure] == [(2, 1), (1, 0)]
+    assert np.allclose([lam for lam, *_ in structure], [1.0, 2.0])
+    # a gap of 1e-3 is two eigenvalues, with no Jordan block between them
+    assert [longer for *_, longer in invariants._eigen_structure(np.diag([1.0, 1.0 + 1e-3]))] == [0, 0]
+    # a gap of 1e-7 is neither clearly one eigenvalue nor clearly two
+    assert invariants._eigen_structure(np.diag([1.0, 1.0 + 1e-7])) is None
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 3e-4])
+def test_near_degenerate_ghz_class_state_has_two_proven_terms(eps):
+    # the pencil's eigenvalues lie ~eps apart and form no Jordan block, so
+    # the count is GHZ's and the verdict excludes nothing
+    est = product_term_estimate(PartyTensor.from_state(_near_ghz(eps)))
+    assert (est.terms, est.heuristic, est.lower_bound_rule) == (2, False, "pencil")
+    assert catalysis_verdict(_near_ghz(eps), ghz(ABC)).feasible == "undetermined"
+
+
+@pytest.mark.parametrize("eps", np.logspace(-1, -9, 17))
+def test_bounds_never_overstate_a_near_degenerate_state(eps):
+    # where the Jordan structure is not clear-cut a rule declines
+    assert proven_lower_bound(PartyTensor.from_state(_near_ghz(eps)))[0] <= 2
+    for triple, terms in ((ghz(ABC), 4), (w_state(ABC), 6)):
+        t = PartyTensor.from_state(tensor(triple, _near_ghz(eps, DEF)))
+        assert proven_lower_bound(t)[0] <= terms
+
+
+def test_proven_lower_bound_takes_the_largest_rule():
+    assert proven_lower_bound(PartyTensor.from_state(w_state(ABC))) == (3, "pencil")
+    assert proven_lower_bound(PartyTensor.from_state(W_W)) == (7, "alder-strassen")
+    assert proven_lower_bound(PartyTensor.from_state(computational(ABC, "000"))) == (1, "flattening")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delta=st.floats(0.1, np.pi / 2 - 0.1),
+    phi=st.floats(0.0, 2 * np.pi),
+    angles=st.tuples(*[st.floats(0.1, np.pi - 0.1)] * 3),
+)
+def test_ghz_class_catalysts_have_proven_counts(delta, phi, angles):
+    cat = ghz_class(delta, phi, *angles, DEF)
+    for triple, terms in ((w_state(ABC), 6), (ghz(ABC), 4)):
+        est = product_term_estimate(PartyTensor.from_state(tensor(triple, cat)))
+        assert (est.terms, est.heuristic, est.lower_bound_rule) == (terms, False, "alder-strassen")
 
 
 def test_probe_wall_time_reported_not_compared():
@@ -445,9 +485,9 @@ def test_report_documents_keep_their_keys_and_json():
         (cfg, cfg_json),
         (probe, probe_json),
         (
-            ProductTermEstimate(3, True, 2, (probe,)),
+            ProductTermEstimate(3, True, 2, (probe,), 2, "flattening"),
             '{"terms": 3, "heuristic": true, "flattening_lower_bound": 2, '
-            f'"probes": [{probe_json}]}}',
+            f'"probes": [{probe_json}], "lower_bound": 2, "lower_bound_rule": "flattening"}}',
         ),
         (
             ProductTermObstruction(6, 4, True),
@@ -467,6 +507,6 @@ def test_report_documents_keep_their_keys_and_json():
 
 
 def test_negative_probe_seed_is_rejected():
-    # before any probe worker forks, not as a ValueError from inside one
+    # where the config is made, not as a ValueError from inside a probe
     with pytest.raises(ConstraintViolation, match="non-negative"):
         ProbeConfig(seed=-1)
