@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch
+from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
 from .invariants import (
     PartyTensor,
     ProbeConfig,
@@ -92,6 +92,8 @@ def _compatible_registers(source: PureState, target: PureState) -> tuple[str, ..
     pt = target.register.party_labels()
     if ps != pt:
         raise RegisterMismatch(f"party sets differ: {ps} vs {pt}")
+    if len(ps) < 2:
+        raise WrongArity(f"a conversion between parties needs two or more of them, got {ps}")
     for p in ps:
         if len(source.register.sites_of([p])) != len(target.register.sites_of([p])):
             raise RegisterMismatch(f"party {p} holds different site counts")

@@ -5,7 +5,8 @@ state grouped into one tensor axis per party.  A converged fit proves the
 minimal number of product terms is <= r; a failed probe proves nothing.  The
 lower bounds come from rank rules instead: the flattening ranks, Ja'Ja's
 rank of a 2 x n x n pencil, and the Alder-Strassen bound for the structure
-tensor of an algebra.  A count is heuristic only where it lies above them.
+tensor of an algebra, which share one ``_slice_analysis`` with the exact fit.
+A count is heuristic only where it lies above them.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ _RIDGE = 1e-12
 
 
 def _doc(pairs) -> dict:
-    # dict_factory for asdict, which keeps tuples; a report holds lists
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in pairs}
+    # dict_factory for asdict, which keeps tuples and non-finite floats; a report
+    # holds lists, and strict JSON has no inf or nan, so such a float reads null
+    doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in pairs}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +184,7 @@ class RankProbeResult:
     wall_s: float = field(compare=False)  # timing, so equality ignores it
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return asdict(self, dict_factory=_doc)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -213,6 +216,8 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     """
     if r < 1:
         raise ConstraintViolation("probed rank must be >= 1")
+    if t.data.ndim < 2:
+        raise WrongArity(f"a product-term probe needs two or more parties, got {t.parties}")
     start = time.perf_counter()
     cfg = config or ProbeConfig()
     data = t.data
@@ -359,60 +364,61 @@ def _eigen_structure(g: np.ndarray) -> list[tuple[complex, int, int]] | None:
     return structure
 
 
-def _pencil_bound(t: PartyTensor) -> tuple[int, str] | None:
-    """Ja'Ja's rank of a regular 2 x n x n pencil: n plus, for its most
-    defective eigenvalue, the number of Jordan blocks longer than one."""
-    axis = int(np.argmin(t.shape))
-    pencil = len(t.shape) == 3 and t.shape[axis] == 2 and t.shape[axis - 1] == t.shape[axis - 2]
-    found = pencil and _normalized_slices(t, axis)
+def _slice_analysis(t: PartyTensor):
+    """``(axis, X, M, g, rng, structure)``: ``_normalized_slices`` along the
+    axis of dimension 2 of a 2 x n x n pencil, or axis 0 of a cube, and the
+    ``_eigen_structure`` of g; None where t is neither, X is singular or the
+    structure is not clear-cut."""
+    axis, shape = int(np.argmin(t.shape)), t.shape
+    sliced = len(shape) == 3 and shape[axis - 2] == shape[axis - 1] and shape[axis] in (2, shape[axis - 1])
+    found = _normalized_slices(t, axis) if sliced else None
     structure = found and _eigen_structure(found[2])
-    if not structure:
-        return None  # not a pencil, a singular one, or no clear-cut Jordan structure
-    return t.shape[axis - 1] + max(longer for *_, longer in structure), "pencil"
+    return structure and (axis, *found, structure)
 
 
-def _algebra_bound(t: PartyTensor) -> tuple[int, str] | None:
-    """Alder-Strassen's 2m - k for an m x m x m tensor that is the structure
-    tensor of a commutative unital algebra with k maximal ideals: its
-    normalized slices commute, span a space closed under products and have a
-    cyclic vector, and k is the number of eigenvalues of a drawn combination."""
-    found = len(t.shape) == 3 and len(set(t.shape)) == 1 and _normalized_slices(t, 0)
-    if not found:
-        return None
-    _, ms, g, rng = found
-    m = len(ms)
-    if _matrix_rank(ms @ _normals(rng, m)) < m:
-        return None  # no cyclic vector
-    ms = ms / np.linalg.norm(ms, axis=(1, 2), keepdims=True)
-    products = ms[:, None] @ ms[None]  # (i, j) -> Mᵢ Mⱼ
-    if _matrix_rank((products - products.transpose(1, 0, 2, 3)).reshape(m * m, -1), 2.0) > 0:
-        return None  # the slices do not commute
-    span = np.concatenate([ms, products.reshape(m * m, m, m)]).reshape(m + m * m, -1)
-    if _matrix_rank(span) > m:
-        return None  # their span is not closed under products
-    structure = _eigen_structure(g)
-    return structure and (2 * m - len(structure), "alder-strassen")
+def _proof(t: PartyTensor) -> tuple[int, str, int, tuple | None]:
+    """``(bound, rule, flattening bound, slice analysis)`` for the largest
+    proven bound; a tie goes to pencil, then alder-strassen, then flattening.
+    Ja'Ja': a regular 2 x n x n pencil has rank n plus the Jordan blocks
+    longer than one of its most defective eigenvalue.  Alder-Strassen: 2n - k
+    for the structure tensor of a commutative unital algebra with k maximal
+    ideals, whose normalized slices commute, span a space closed under
+    products and have a cyclic vector; k is the number of eigenvalues of g."""
+    flat = max(flattening_ranks(t))
+    analysis = _slice_analysis(t)
+    rules = [(flat, "flattening")]
+    if analysis:
+        _, _, ms, _, rng, structure = analysis
+        n = len(ms[0])
+        if len(ms) == 2:
+            rules.insert(0, (n + max(longer for *_, longer in structure), "pencil"))
+        if len(ms) == n and _matrix_rank(ms @ _normals(rng, n)) == n:  # a cyclic vector
+            ms = ms / np.linalg.norm(ms, axis=(1, 2), keepdims=True)
+            products = ms[:, None] @ ms[None]  # (i, j) -> Mᵢ Mⱼ
+            commutators = (products - products.transpose(1, 0, 2, 3)).reshape(n * n, -1)
+            span = np.concatenate([ms, products.reshape(n * n, n, n)]).reshape(n + n * n, -1)
+            if _matrix_rank(commutators, 2.0) == 0 and _matrix_rank(span) <= n:
+                rules.insert(-1, (2 * n - len(structure), "alder-strassen"))
+    return (*max(rules, key=lambda rule: rule[0]), flat, analysis)
 
 
 def proven_lower_bound(t: PartyTensor) -> tuple[int, str]:
     """The largest proven lower bound on the number of product terms, and the
-    rule that proves it: ``"pencil"``, ``"alder-strassen"`` or ``"flattening"``."""
-    rules = [_pencil_bound(t), _algebra_bound(t), (max(flattening_ranks(t)), "flattening")]
-    return max(filter(None, rules), key=lambda bound: bound[0])
+    rule that proves it: ``"pencil"`` or ``"alder-strassen"``, both checks on
+    ``_slice_analysis(t)``, or ``"flattening"``."""
+    return _proof(t)[:2]
 
 
-def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig) -> RankProbeResult | None:
-    """The ``"exact"`` entry for ``rank`` of a tensor a bound rule applies to:
-    the decomposition read off the generalized eigenspaces of the rule's g,
-    each block a scalar (its size in terms) plus a nilpotent part (the ranks
-    of its principal components); None where that has other than ``rank``
-    terms or fits no better than ``fit_tol``.  It meets the bound on unit
-    tensors, pencils with one defective eigenvalue and Jordan blocks at most 2
-    long, and algebras whose local factors have dimension 1 or 2."""
+def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> RankProbeResult | None:
+    """The ``"exact"`` entry for ``rank`` from the slice analysis a bound rule
+    proved it with: the decomposition read off the generalized eigenspaces of
+    its g, each block a scalar (its size in terms) plus a nilpotent part (the
+    ranks of its principal components); None where that has other than
+    ``rank`` terms or fits no better than ``fit_tol``.  It meets the bound on
+    unit tensors, pencils with one defective eigenvalue and Jordan blocks at
+    most 2 long, and algebras whose local factors have dimension 1 or 2."""
     start = time.perf_counter()
-    axis = int(np.argmin(t.shape))  # the pencil's axis of dimension 2, or 0 for a cube
-    x, ms, g, _ = _normalized_slices(t, axis)
-    structure = _eigen_structure(g)  # as the rule found it: the draws are the same
+    axis, x, ms, g, _, structure = analysis
     sizes = [size for _, size, _ in structure]
     powers = [np.linalg.matrix_power(g - lam * np.eye(len(g)), size) for lam, size, _ in structure]
     u = np.hstack([np.linalg.svd(a)[2][len(a) - size :].conj().T for a, size in zip(powers, sizes)])
@@ -435,32 +441,23 @@ def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig) -> RankProbeResult |
     return RankProbeResult(rank, residual, True, 0, cfg.seed, cfg, "exact", 0, time.perf_counter() - start)
 
 
-def product_term_estimate(
-    t: PartyTensor,
-    config: ProbeConfig | None = None,
-    cap: int | None = None,
-) -> ProductTermEstimate:
+def product_term_estimate(t: PartyTensor, config: ProbeConfig | None = None) -> ProductTermEstimate:
     """Scan ranks upward from ``proven_lower_bound`` until a fit converges.
 
     Ranks from the flattening bound up to below it get ``"excluded"`` entries
-    and no fit; at the bound, ``_exact_fit``'s entry replaces ALS where it
-    fits.  A count above the bound rests on failed probes, which prove
-    nothing, so it is heuristic.  Raises CapExceeded, with no fit where ``cap``
-    is below the bound, when no rank up to ``cap`` (default: the number of
-    tensor entries) converges.
+    and no fit; at the bound, ``_exact_fit``'s entry, read from the slice
+    analysis that proved the bound, replaces ALS where it fits.  A count above
+    the bound rests on failed probes, which prove nothing, so it is heuristic.
+    Raises CapExceeded when no rank up to ``t.size`` converges.
     """
     cfg = config or ProbeConfig()
-    flat = max(flattening_ranks(t))
-    lower, rule = proven_lower_bound(t)
-    top = cap if cap is not None else t.size
-    if top < lower:
-        raise CapExceeded(f"rank cap {top} is below the proven lower bound {lower} ({rule})")
+    lower, rule, flat, analysis = _proof(t)
     probes = [
         RankProbeResult(r, np.inf, False, 0, cfg.seed, cfg, "excluded", 0, 0.0) for r in range(flat, lower)
     ]
-    exact = rule != "flattening" and _exact_fit(t, lower, cfg)
-    for r in range(lower, top + 1):
+    exact = rule != "flattening" and _exact_fit(t, lower, cfg, analysis)
+    for r in range(lower, t.size + 1):
         probes.append(exact if r == lower and exact else cp_rank_probe(t, r, cfg))
         if probes[-1].converged:
             return ProductTermEstimate(r, r > lower, flat, tuple(probes), lower, rule)
-    raise CapExceeded(f"no converged CP fit up to rank {top} (lower bound {lower}, {rule})")
+    raise CapExceeded(f"no converged CP fit up to rank {t.size} (lower bound {lower}, {rule})")

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from loccsim.cli import main
-from loccsim.states import Register, ghz, load_state, save_state, w_state
+from loccsim.states import Register, computational, epr, ghz, load_state, save_state, w_state
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
@@ -161,6 +164,50 @@ def test_classify_nan_amplitude(tmp_path, capsys):
     assert main(["classify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# edge inputs: tiny states held by one, two and three parties
+
+TINY = {
+    1: (epr(Register.of([(1, "A"), (2, "A")])), computational(Register.of([(1, "A"), (2, "A")]), "00")),
+    2: (epr(Register.of([(1, "A"), (2, "B")])), computational(Register.of([(1, "A"), (2, "B")]), "01")),
+    3: (w_state(ABC), ghz(ABC)),
+}
+
+
+def _tiny_files(tmp_path, parties: int) -> tuple[str, str]:
+    paths = (str(tmp_path / "a.json"), str(tmp_path / "b.json"))
+    for state, path in zip(TINY[parties], paths):
+        save_state(state, path)
+    return paths
+
+
+def test_one_party_state_is_one_error_line(tmp_path, capsys):
+    a, b = _tiny_files(tmp_path, 1)
+    for command in ("bound", "verdict"):
+        assert main([command, a, b]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a conversion between parties needs two or more of them, got ('A',)\n"
+
+
+@pytest.mark.parametrize("parties", sorted(TINY))
+@pytest.mark.parametrize("command", ["classify", "bound", "verdict"])
+def test_edge_inputs_exit_cleanly(command, parties, tmp_path):
+    # a separate interpreter, so that a traceback or a warning would reach stderr
+    a, b = _tiny_files(tmp_path, parties)
+    report = tmp_path / "report.json"
+    argv = [command, a] if command == "classify" else [command, a, b]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "loccsim.cli", *argv, "--json", str(report)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in run.stderr
+    assert run.stderr == "" or (run.stderr.startswith("error: ") and run.stderr.count("\n") == 1)
+    if report.exists():
+        json.dumps(json.loads(report.read_text()), allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from loccsim.convert import (
     splitting_cuts,
     vidal_probability,
 )
-from loccsim.errors import NotAProbabilityVector, RegisterMismatch
+from loccsim.errors import NotAProbabilityVector, RegisterMismatch, WrongArity
 from loccsim.invariants import ProductTermEstimate
 from loccsim.prebuilt import bipartite_catalysis_pair, prop3_input, prop3_target
 from loccsim.states import PureState, Register, ghz, tensor, w_state
@@ -163,6 +163,15 @@ def test_bound_register_mismatch():
     )
     with pytest.raises(RegisterMismatch):
         splitting_bound(src, lopsided)
+
+
+def test_one_party_states_are_rejected():
+    # one party has no cut to split and no product terms to count
+    held = PureState(Register.of([(1, "A"), (2, "A")]), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    with pytest.raises(WrongArity):
+        splitting_bound(held, held)
+    with pytest.raises(WrongArity):
+        catalysis_verdict(held, held)
 
 
 def test_bound_serialization():

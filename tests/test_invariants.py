@@ -302,11 +302,6 @@ def test_estimate_product_state():
     assert not est.heuristic
 
 
-def test_estimate_cap():
-    with pytest.raises(CapExceeded, match="below the proven lower bound 3 \\(pencil\\)"):
-        product_term_estimate(PartyTensor.from_state(w_state(ABC)), cap=2)
-
-
 def _recording_probe(monkeypatch) -> list[int]:
     called = []
 
@@ -321,8 +316,8 @@ def _recording_probe(monkeypatch) -> list[int]:
 def test_estimate_leaves_no_process():
     # every fit runs in this process, also on a scan that ends in CapExceeded
     product_term_estimate(PartyTensor.from_state(W_W))
-    with pytest.raises(CapExceeded):
-        product_term_estimate(PartyTensor.from_state(W_W), ProbeConfig(max_iters=50, fit_tol=1e-30), cap=8)
+    with pytest.raises(CapExceeded, match="up to rank 8"):
+        product_term_estimate(PartyTensor.from_state(ghz(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30))
     assert multiprocessing.active_children() == []
 
 
@@ -345,8 +340,9 @@ def test_estimate_falls_back_to_als_when_the_exact_fit_misses_fit_tol(monkeypatc
     called = _recording_probe(monkeypatch)
     strict = ProbeConfig(max_iters=50, fit_tol=1e-30)
     with pytest.raises(CapExceeded):
-        product_term_estimate(PartyTensor.from_state(ghz(ABC)), strict, cap=2)
-    assert called == [2]
+        product_term_estimate(PartyTensor.from_state(ghz(ABC)), strict)
+    # the scan runs on to the number of tensor entries
+    assert called == [2, 3, 4, 5, 6, 7, 8]
 
 
 def test_exact_entry_mends_the_catalyst_count():
@@ -373,7 +369,7 @@ def test_exact_entry_mends_the_catalyst_count():
     ids=["W", "GHZ", "W+EPR", "GHZ+EPR", "near-GHZ"],
 )
 def test_pencil_bound(state, bound):
-    assert invariants._pencil_bound(PartyTensor.from_state(state)) == (bound, "pencil")
+    assert proven_lower_bound(PartyTensor.from_state(state)) == (bound, "pencil")
 
 
 @pytest.mark.parametrize(
@@ -391,9 +387,8 @@ def test_pencil_bound(state, bound):
 )
 def test_algebra_bound(state, bound):
     t = PartyTensor.from_state(state)
-    assert invariants._algebra_bound(t) == (bound, "alder-strassen")
-    assert invariants._pencil_bound(t) is None  # no party of dimension 2
-    est = product_term_estimate(t, cap=bound)
+    assert proven_lower_bound(t) == (bound, "alder-strassen")
+    est = product_term_estimate(t)
     assert (est.terms, est.heuristic, est.lower_bound_rule) == (bound, False, "alder-strassen")
 
 
@@ -405,9 +400,8 @@ def test_rules_decline_a_random_tensor_and_a_singular_pencil():
     v = np.zeros((2, 3, 3))
     v[0, 0, 0] = v[0, 1, 2] = v[1, 1, 1] = 1.0
     singular = PartyTensor(("A", "B", "C"), (2, 3, 3), v / np.linalg.norm(v))
-    for t in (random_cube, singular):
-        assert invariants._pencil_bound(t) is None
-        assert invariants._algebra_bound(t) is None
+    assert proven_lower_bound(random_cube) == (4, "flattening")
+    assert proven_lower_bound(singular) == (3, "flattening")
 
 
 def test_eigen_structure_reads_jordan_blocks_and_declines_unclear_gaps():
@@ -437,6 +431,37 @@ def test_bounds_never_overstate_a_near_degenerate_state(eps):
     for triple, terms in ((ghz(ABC), 4), (w_state(ABC), 6)):
         t = PartyTensor.from_state(tensor(triple, _near_ghz(eps, DEF)))
         assert proven_lower_bound(t)[0] <= terms
+
+
+@pytest.mark.parametrize("state", [w_state(ABC), W_EPR, GHZ_GHZ], ids=["W", "W+EPR", "GHZ+GHZ"])
+def test_a_scan_decides_its_slice_analysis_once(state, monkeypatch):
+    # the bound rules and the exact fit read one analysis: one draw of the
+    # normalized slices, one eigenvalue structure, one set of flattening ranks
+    calls = {}
+    for name in ("_normalized_slices", "_eigen_structure", "flattening_ranks"):
+        def counting(*args, _name=name, _real=getattr(invariants, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(invariants, name, counting)
+    product_term_estimate(PartyTensor.from_state(state))
+    assert calls == {"_normalized_slices": 1, "_eigen_structure": 1, "flattening_ranks": 1}
+
+
+def test_estimate_report_is_strict_json():
+    # an excluded rank ran no fit: its best residual stays the float inf, and
+    # its report entry reads null
+    est = product_term_estimate(PartyTensor.from_state(W_W))
+    doc = json.loads(json.dumps(est.to_dict(), allow_nan=False))
+    assert [p["best_residual"] for p in doc["probes"][:3]] == [None, None, None]
+    assert est.probes[0].best_residual == float("inf")
+    assert est.probes[0].to_dict()["best_residual"] is None
+
+
+def test_probe_needs_two_parties():
+    one_party = PureState(Register.of([(1, "A"), (2, "A")]), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    with pytest.raises(WrongArity):
+        cp_rank_probe(PartyTensor.from_state(one_party), 1)
 
 
 def test_proven_lower_bound_takes_the_largest_rule():
