@@ -17,7 +17,6 @@ from .convert import (
     ProductTermObstruction,
     RankObstruction,
     catalysis_verdict,
-    default_rank_probe,
     splitting_bound,
     splitting_cuts,
     vidal_probability,

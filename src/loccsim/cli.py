@@ -18,12 +18,7 @@ import sys
 
 import numpy as np
 
-from .convert import (
-    IMPOSSIBLE,
-    catalysis_verdict,
-    default_rank_probe,
-    splitting_bound,
-)
+from .convert import IMPOSSIBLE, catalysis_verdict, splitting_bound
 from .errors import LoccSimError, ParseError, SemanticError
 from .invariants import ProbeConfig, slocc_class
 from .prebuilt import (
@@ -109,7 +104,7 @@ def _cmd_verdict(args):
 def _verdict_report(args, src, dst, doc: dict) -> dict:
     """Decide the catalysis verdict with the probe seed of ``args``, print
     it, and return ``doc`` followed by the verdict's report."""
-    v = catalysis_verdict(src, dst, rank_probe=default_rank_probe(ProbeConfig(seed=args.seed)))
+    v = catalysis_verdict(src, dst, ProbeConfig(seed=args.seed))
     for party, rs, rt in v.party_ranks:
         print(f"rank({party}): source {rs}, target {rt}")
     if v.product_term_obstruction is not None:

@@ -10,18 +10,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
-from .invariants import (
-    PartyTensor,
-    ProbeConfig,
-    ProductTermEstimate,
-    flattening_ranks,
-    product_term_estimate,
-)
+from .invariants import PartyTensor, ProbeConfig, product_term_estimate
 from .states import PureState, schmidt
 
 ZERO_TAIL = 1e-12
@@ -178,8 +172,8 @@ class ProductTermObstruction:
 class CatalysisVerdict:
     feasible: str  # IMPOSSIBLE | UNDETERMINED
     party_ranks: tuple[tuple[str, int, int], ...]
-    rank_obstruction: RankObstruction | None
-    product_term_obstruction: ProductTermObstruction | None
+    rank_obstruction: RankObstruction | None = None
+    product_term_obstruction: ProductTermObstruction | None = None
     notes: tuple[str, ...] = field(default=())
 
     def to_dict(self) -> dict:
@@ -199,22 +193,10 @@ class CatalysisVerdict:
         }
 
 
-RankProbe = Callable[[PureState], ProductTermEstimate]
-
-
-def default_rank_probe(config: ProbeConfig | None = None) -> RankProbe:
-    cfg = config or ProbeConfig()
-
-    def probe(state: PureState) -> ProductTermEstimate:
-        return product_term_estimate(PartyTensor.from_state(state), cfg)
-
-    return probe
-
-
 def catalysis_verdict(
     source: PureState,
     target: PureState,
-    rank_probe: RankProbe | None = None,
+    config: ProbeConfig | None = None,
 ) -> CatalysisVerdict:
     """Decide whether ``source -> target`` under one local operator per party
     is excluded, with the resource state already folded into both sides.
@@ -225,11 +207,15 @@ def catalysis_verdict(
     converge to different counts, invertible operators are excluded too and
     the verdict is impossible.  Anything else stays undetermined, with the
     evidence gathered so far attached.
+
+    Each side becomes one ``PartyTensor``, whose ranks give the per-party
+    ranks and which ``product_term_estimate`` scans with ``config`` (the
+    default ``ProbeConfig()`` when None); ``--seed N`` on the command line
+    passes ``ProbeConfig(seed=N)``.
     """
     parties = _compatible_registers(source, target)
-    probe = rank_probe or default_rank_probe()
-    ranks = [flattening_ranks(PartyTensor.from_state(s)) for s in (source, target)]
-    triples = tuple(zip(parties, *ranks))
+    tensors = [PartyTensor.from_state(s) for s in (source, target)]
+    triples = tuple(zip(parties, *(t.ranks for t in tensors)))
 
     exceeding = tuple(t for t in triples if t[2] > t[1])
     if exceeding:
@@ -237,28 +223,22 @@ def catalysis_verdict(
             feasible=IMPOSSIBLE,
             party_ranks=triples,
             rank_obstruction=RankObstruction("target_rank_exceeds_source", exceeding),
-            product_term_obstruction=None,
         )
 
     if any(t[1] != t[2] for t in triples):
         return CatalysisVerdict(
             feasible=UNDETERMINED,
             party_ranks=triples,
-            rank_obstruction=None,
-            product_term_obstruction=None,
             notes=("rank profiles differ but never increase; ranks alone decide nothing",),
         )
 
     # equal ranks everywhere: non-invertible local operators are excluded
     try:
-        est_src = probe(source)
-        est_tgt = probe(target)
+        est_src, est_tgt = (product_term_estimate(t, config) for t in tensors)
     except CapExceeded as exc:
         return CatalysisVerdict(
             feasible=UNDETERMINED,
             party_ranks=triples,
-            rank_obstruction=None,
-            product_term_obstruction=None,
             notes=(f"product-term probe inconclusive: {exc}",),
         )
 
@@ -279,8 +259,6 @@ def catalysis_verdict(
     return CatalysisVerdict(
         feasible=UNDETERMINED,
         party_ranks=triples,
-        rank_obstruction=None,
-        product_term_obstruction=None,
         notes=(
             f"equal ranks and equal product-term estimates "
             f"({est_src.terms} vs {est_tgt.terms}); nothing excluded",

@@ -41,7 +41,8 @@ def _doc(pairs) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class PartyTensor:
-    """State amplitudes grouped into one axis per party (sorted party order).
+    """State amplitudes grouped into one axis per party (sorted party order),
+    with their ``flattening_ranks``, computed once.
 
     Within a party axis the bits of that party's sites appear in register
     order, first site most significant.
@@ -50,6 +51,7 @@ class PartyTensor:
     parties: tuple[str, ...]
     shape: tuple[int, ...]
     data: np.ndarray
+    ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.complex128)
@@ -62,6 +64,7 @@ class PartyTensor:
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "parties", tuple(self.parties))
         object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
+        object.__setattr__(self, "ranks", flattening_ranks(self))
 
     @classmethod
     def from_state(cls, s: PureState) -> "PartyTensor":
@@ -137,17 +140,16 @@ def slocc_class(s: PureState) -> SloccClass:
     if s.n_sites != 3 or len(s.register.party_labels()) != 3:
         raise WrongArity("slocc_class needs three sites held by three distinct parties")
     t = PartyTensor.from_state(s)
-    ranks = flattening_ranks(t)
     tau = three_tangle(s)
-    if all(r == 1 for r in ranks):
+    if all(r == 1 for r in t.ranks):
         label = "product"
-    elif ranks.count(1) == 1:
-        label = f"biseparable-{t.parties[ranks.index(1)]}"
+    elif t.ranks.count(1) == 1:
+        label = f"biseparable-{t.parties[t.ranks.index(1)]}"
     elif tau > CLASS_TOL:
         label = "ghz-class"
     else:
         label = "w-class"
-    return SloccClass(label, t.parties, ranks, tau)
+    return SloccClass(label, t.parties, t.ranks, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +173,10 @@ class ProbeConfig:
 
 @dataclass(frozen=True)
 class RankProbeResult:
+    """One probed rank.  ``converged`` is ``best_residual < fit_tol``, read
+    apart from ``stop_reason``, so a probe that stopped at the ``"cap"`` can
+    report it converged."""
+
     tested_rank: int
     best_residual: float
     converged: bool
@@ -376,17 +382,16 @@ def _slice_analysis(t: PartyTensor):
     return structure and (axis, *found, structure)
 
 
-def _proof(t: PartyTensor) -> tuple[int, str, int, tuple | None]:
-    """``(bound, rule, flattening bound, slice analysis)`` for the largest
+def _proof(t: PartyTensor) -> tuple[int, str, tuple | None]:
+    """``(bound, rule, slice analysis)`` for the largest
     proven bound; a tie goes to pencil, then alder-strassen, then flattening.
     Ja'Ja': a regular 2 x n x n pencil has rank n plus the Jordan blocks
     longer than one of its most defective eigenvalue.  Alder-Strassen: 2n - k
     for the structure tensor of a commutative unital algebra with k maximal
     ideals, whose normalized slices commute, span a space closed under
     products and have a cyclic vector; k is the number of eigenvalues of g."""
-    flat = max(flattening_ranks(t))
     analysis = _slice_analysis(t)
-    rules = [(flat, "flattening")]
+    rules = [(max(t.ranks), "flattening")]
     if analysis:
         _, _, ms, _, rng, structure = analysis
         n = len(ms[0])
@@ -399,7 +404,7 @@ def _proof(t: PartyTensor) -> tuple[int, str, int, tuple | None]:
             span = np.concatenate([ms, products.reshape(n * n, n, n)]).reshape(n + n * n, -1)
             if _matrix_rank(commutators, 2.0) == 0 and _matrix_rank(span) <= n:
                 rules.insert(-1, (2 * n - len(structure), "alder-strassen"))
-    return (*max(rules, key=lambda rule: rule[0]), flat, analysis)
+    return (*max(rules, key=lambda rule: rule[0]), analysis)
 
 
 def proven_lower_bound(t: PartyTensor) -> tuple[int, str]:
@@ -451,7 +456,8 @@ def product_term_estimate(t: PartyTensor, config: ProbeConfig | None = None) -> 
     Raises CapExceeded when no rank up to ``t.size`` converges.
     """
     cfg = config or ProbeConfig()
-    lower, rule, flat, analysis = _proof(t)
+    lower, rule, analysis = _proof(t)
+    flat = max(t.ranks)
     probes = [
         RankProbeResult(r, np.inf, False, 0, cfg.seed, cfg, "excluded", 0, 0.0) for r in range(flat, lower)
     ]

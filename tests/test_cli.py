@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from loccsim import convert
 from loccsim.cli import main
+from loccsim.invariants import ProbeConfig
 from loccsim.states import Register, computational, epr, ghz, load_state, save_state, w_state
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
@@ -309,6 +311,20 @@ def test_sweep_rejects_out_of_range_grid_before_output(grid, capsys):
 def test_seed_rejected_where_no_probe_runs(argv, capsys):
     assert main([*argv, "--seed", "1"]) == 2
     assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
+def test_seed_reaches_both_estimates(monkeypatch, capsys):
+    configs = []
+    estimate = convert.product_term_estimate
+
+    def recording(t, config):
+        configs.append(config)
+        return estimate(t, config)
+
+    monkeypatch.setattr(convert, "product_term_estimate", recording)
+    assert main(["demo", "prop1", "--seed", "7"]) == 0
+    assert configs == [ProbeConfig(seed=7)] * 2
+    assert "verdict: impossible" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["intro"], ["ghz2epr"], ["prop3", "0.4"]])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loccsim import convert
 from loccsim.convert import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -183,16 +184,16 @@ def test_bound_serialization():
 
 
 # ---------------------------------------------------------------------------
-# catalysis verdicts (probe logic through stubs; the real probe is exercised
+# catalysis verdicts (the estimate is stubbed; the real probe is exercised
 # in the acceptance suite)
 
 
-def fake_probe(by_terms, heuristic=True):
+def fake_probe(monkeypatch, by_terms, heuristic=True):
     calls = []
 
-    def probe(state):
+    def probe(t, config):
         terms = by_terms[len(calls)]
-        calls.append(state)
+        calls.append(t)
         return ProductTermEstimate(
             terms=terms,
             heuristic=heuristic,
@@ -202,39 +203,42 @@ def fake_probe(by_terms, heuristic=True):
             lower_bound_rule="flattening" if heuristic else "pencil",
         )
 
-    return probe
+    monkeypatch.setattr(convert, "product_term_estimate", probe)
 
 
-def test_verdict_rank_increase():
+def test_verdict_rank_increase(monkeypatch):
     # target rank exceeds source rank for B and C: no probe should even run
     src = tensor(ghz(ABC), PureState(
         Register.of([(4, "B"), (5, "C")]), np.array([1, 0, 0, 0], dtype=complex)
     ))
     dst, _unused = bipartite_catalysis_pair()
 
-    def exploding(state):
+    def exploding(t, config):
         raise AssertionError("probe must not run")
 
-    v = catalysis_verdict(src, dst, rank_probe=exploding)
+    monkeypatch.setattr(convert, "product_term_estimate", exploding)
+    v = catalysis_verdict(src, dst)
     assert v.feasible == IMPOSSIBLE
     assert v.rank_obstruction.kind == "target_rank_exceeds_source"
     assert ("B", 2, 4) in v.rank_obstruction.triples
     assert v.product_term_obstruction is None
 
 
-def test_verdict_rank_decrease_is_undetermined():
+def test_verdict_rank_decrease_is_undetermined(monkeypatch):
     dst_low = tensor(ghz(ABC), PureState(
         Register.of([(4, "B"), (5, "C")]), np.array([1, 0, 0, 0], dtype=complex)
     ))
     src, _unused = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst_low, rank_probe=fake_probe([6, 6]))
+    fake_probe(monkeypatch, [6, 6])
+    v = catalysis_verdict(src, dst_low)
     assert v.feasible == UNDETERMINED
     assert v.rank_obstruction is None
 
 
-def test_verdict_equal_ranks_different_terms():
+def test_verdict_equal_ranks_different_terms(monkeypatch):
     src, dst = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst, rank_probe=fake_probe([6, 4]))
+    fake_probe(monkeypatch, [6, 4])
+    v = catalysis_verdict(src, dst)
     assert v.feasible == IMPOSSIBLE
     assert v.rank_obstruction.kind == "equal_ranks_exclude_noninvertible"
     assert v.product_term_obstruction.source_terms == 6
@@ -243,34 +247,39 @@ def test_verdict_equal_ranks_different_terms():
 
 
 @pytest.mark.parametrize("heuristic", [True, False])
-def test_verdict_notes_evidence_only_for_heuristic_counts(heuristic):
+def test_verdict_notes_evidence_only_for_heuristic_counts(heuristic, monkeypatch):
     src, dst = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst, rank_probe=fake_probe([6, 4], heuristic))
+    fake_probe(monkeypatch, [6, 4], heuristic)
+    v = catalysis_verdict(src, dst)
     assert v.product_term_obstruction.heuristic is heuristic
     assert any("evidence, not proof" in note for note in v.notes) is heuristic
 
 
-def test_verdict_equal_terms_undetermined():
+def test_verdict_equal_terms_undetermined(monkeypatch):
     src, dst = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst, rank_probe=fake_probe([5, 5]))
+    fake_probe(monkeypatch, [5, 5])
+    v = catalysis_verdict(src, dst)
     assert v.feasible == UNDETERMINED
 
 
-def test_verdict_never_impossible_on_identity():
+def test_verdict_never_impossible_on_identity(monkeypatch):
     s, _unused = bipartite_catalysis_pair()
-    v = catalysis_verdict(s, s, rank_probe=fake_probe([6, 6]))
+    fake_probe(monkeypatch, [6, 6])
+    v = catalysis_verdict(s, s)
     assert v.feasible == UNDETERMINED
 
 
-def test_verdict_party_ranks_recorded():
+def test_verdict_party_ranks_recorded(monkeypatch):
     src, dst = bipartite_catalysis_pair()
-    v = catalysis_verdict(src, dst, rank_probe=fake_probe([6, 4]))
+    fake_probe(monkeypatch, [6, 4])
+    v = catalysis_verdict(src, dst)
     assert v.party_ranks == (("A", 2, 2), ("B", 4, 4), ("C", 4, 4))
 
 
-def test_verdict_serialization():
+def test_verdict_serialization(monkeypatch):
     src, dst = bipartite_catalysis_pair()
-    doc = catalysis_verdict(src, dst, rank_probe=fake_probe([6, 4])).to_dict()
+    fake_probe(monkeypatch, [6, 4])
+    doc = catalysis_verdict(src, dst).to_dict()
     assert doc["feasible"] == "impossible"
     assert doc["product_term_obstruction"]["source_terms"] == 6
     assert doc["rank_obstruction"]["kind"] == "equal_ranks_exclude_noninvertible"

@@ -448,6 +448,32 @@ def test_a_scan_decides_its_slice_analysis_once(state, monkeypatch):
     assert calls == {"_normalized_slices": 1, "_eigen_structure": 1, "flattening_ranks": 1}
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [bipartite_catalysis_pair, lambda: tripartite_catalysis_pair("w"), lambda: tripartite_catalysis_pair("ghz")],
+    ids=["prop1", "prop2-w", "prop2-ghz"],
+)
+def test_a_verdict_builds_one_tensor_per_side(pair, monkeypatch):
+    # the party ranks and the product-term scan read the same tensor, whose
+    # flattening ranks are computed once
+    source, target = pair()
+    calls = {"PartyTensor": 0, "flattening_ranks": 0}
+    post_init, ranks = PartyTensor.__post_init__, invariants.flattening_ranks
+
+    def counting_post_init(self):
+        calls["PartyTensor"] += 1
+        post_init(self)
+
+    def counting_ranks(t):
+        calls["flattening_ranks"] += 1
+        return ranks(t)
+
+    monkeypatch.setattr(PartyTensor, "__post_init__", counting_post_init)
+    monkeypatch.setattr(invariants, "flattening_ranks", counting_ranks)
+    assert catalysis_verdict(source, target).feasible == "impossible"
+    assert calls == {"PartyTensor": 2, "flattening_ranks": 2}
+
+
 def test_estimate_report_is_strict_json():
     # an excluded rank ran no fit: its best residual stays the float inf, and
     # its report entry reads null

@@ -1,7 +1,10 @@
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -83,3 +86,15 @@ def test_traced_names_exist():
         if not hasattr(owner, method):
             missing.append(f"{module}.{cls}.{method}")
     assert not missing, missing
+
+
+def test_rank_residuals_script_runs():
+    # the profiling script builds party tensors and reads their proven bounds
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "rank_residuals.py"), "--restarts", "4"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    headers = re.findall(r"^=== .*: proven bound (\d+) \((.*)\) ===$", run.stdout, re.M)
+    assert headers == [("3", "pencil"), ("2", "pencil"), ("6", "pencil"), ("4", "pencil")]
