@@ -203,10 +203,10 @@ def catalysis_verdict(
 
     Rank monotonicity kills any transformation whose target rank exceeds the
     source rank somewhere.  When all per-party ranks agree, non-invertible
-    operators are excluded; if on top of that both product-term probes
-    converge to different counts, invertible operators are excluded too and
-    the verdict is impossible.  Anything else stays undetermined, with the
-    evidence gathered so far attached.
+    operators are excluded; if on top of that the product-term counts differ
+    (each met by an exact decomposition or a converged probe), invertible
+    operators are excluded too and the verdict is impossible.  Anything else
+    stays undetermined, with the evidence gathered so far attached.
 
     Each side becomes one ``PartyTensor``, whose ranks give the per-party
     ranks and which ``product_term_estimate`` scans with ``config`` (the

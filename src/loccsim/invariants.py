@@ -1,12 +1,12 @@
 """SLOCC invariants: flattening ranks, the three-tangle, and a tensor-rank probe.
 
-The rank probe runs alternating least squares for a rank-r CP model of the
-state grouped into one tensor axis per party.  A converged fit proves the
-minimal number of product terms is <= r; a failed probe proves nothing.  The
-lower bounds come from rank rules instead: the flattening ranks, Ja'Ja's
-rank of a 2 x n x n pencil, and the Alder-Strassen bound for the structure
-tensor of an algebra, which share one ``_slice_analysis`` with the exact fit.
-A count is heuristic only where it lies above them.
+The lower bounds on the number of product terms come from rank rules: the
+flattening ranks, Ja'Ja's rank of a 2 x n x n pencil, and the Alder-Strassen
+bound for the structure tensor of an algebra.  At the bound, an exact fit read
+off the same ``_slice_analysis`` (a bilinear algorithm for each local algebra)
+meets every bundled count.  Elsewhere the rank probe runs alternating least
+squares for a rank-r CP model: a converged fit proves at most r terms, a failed
+probe proves nothing, and a count above the bound is heuristic.
 """
 
 from __future__ import annotations
@@ -414,25 +414,65 @@ def proven_lower_bound(t: PartyTensor) -> tuple[int, str]:
     return _proof(t)[:2]
 
 
+def _local_algebra_fit(b: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+    """A 2·size - 1 term fit of one block's slices ``b`` where they span a local
+    algebra whose radical N has N³ = 0, N² = ⟨s⟩ and PQ = B(P, Q)·s nondegenerate
+    on N/N²; None elsewhere.  With uⱼuₖ = δⱼₖs, C[u₁]/(u₁³) multiplies by values
+    at 5 points, each further uⱼ by (a + cⱼ)(a' + cⱼ') and cⱼcⱼ' (-aa' folded
+    into the point 0), and a drawn cyclic vector w, Φ: Z ↦ Zw, maps the terms."""
+    k, size = b.shape[:2]
+    nil = (b - np.trace(b, axis1=1, axis2=2)[:, None, None] / size * np.eye(size)).reshape(k, -1)
+    if size < 3 or _matrix_rank(nil, np.linalg.norm(b)) != size - 1:
+        return None
+    basis = np.linalg.svd(nil)[2][: size - 1].reshape(-1, size, size)
+    products = (basis[:, None] @ basis[None]).reshape((size - 1) ** 2, -1)  # unit factors: norms <= 1
+    coef, sv, square = np.linalg.svd(products)
+    form = (coef[:, 0] * sv[0]).reshape(size - 1, size - 1)  # N² = ⟨s⟩, s the first row of square
+    if _matrix_rank(products, 1.0) != 1 or _matrix_rank(form) != size - 2:
+        return None
+    c = _normals(rng, size - 2, size - 1)
+    for j in range(size - 2):  # Gram-Schmidt under B
+        c[j] /= np.sqrt(c[j] @ form @ c[j])
+        c[j + 1 :] -= np.outer(c[j + 1 :] @ form @ c[j], c[j])
+    elems = np.concatenate([np.eye(size)[None], np.tensordot(c, basis, 1), square[:1].reshape(1, size, size)])
+    w = _normals(rng, size)
+    phi = (elems @ w).T  # column l is Eₗw, so Z has the coordinates Φ⁻¹(Zw)
+    # term t: fₜ(coordinates of Mᵢ) times the column Wₜw and the row fₜ∘Φ⁻¹
+    points = np.array([0, 1, 1j, -1, -1j])[:, None] ** np.arange(5)
+    f, out = np.zeros((2 * size - 1, size), complex), np.zeros((size, 2 * size - 1), complex)
+    f[:5, [0, 1, -1]], out[[0, 1, -1], :5] = points[:, :3], np.linalg.inv(points)[:3]
+    for j in range(2, size - 1):
+        f[2 * j + 1, [0, j]] = f[2 * j + 2, j] = 1
+        out[j, [0, 2 * j + 1, 2 * j + 2]], out[-1, 2 * j + 2] = (-1, 1, -1), 1
+    inv = np.linalg.pinv(phi)  # a w that is not cyclic leaves a residual, not an error
+    return phi @ out @ ((f @ inv @ (b @ w).T).T[:, :, None] * (f @ inv))
+
+
 def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> RankProbeResult | None:
     """The ``"exact"`` entry for ``rank`` from the slice analysis a bound rule
     proved it with: the decomposition read off the generalized eigenspaces of
-    its g, each block a scalar (its size in terms) plus a nilpotent part (the
-    ranks of its principal components); None where that has other than
-    ``rank`` terms or fits no better than ``fit_tol``.  It meets the bound on
-    unit tensors, pencils with one defective eigenvalue and Jordan blocks at
-    most 2 long, and algebras whose local factors have dimension 1 or 2."""
+    its g, each block ``_local_algebra_fit``'s where that applies, else a
+    scalar (its size in terms) plus a nilpotent part (the ranks of its
+    principal components); None where that has other than ``rank`` terms or
+    fits no better than ``fit_tol``.  It meets the bound on unit tensors,
+    pencils with one defective eigenvalue and Jordan blocks at most 2 long,
+    and algebras whose local factors have dimension 1 or 2 or a radical N
+    with N³ = 0 and N² = ⟨s⟩ (as W⊗W's), so no bundled count runs ALS."""
     start = time.perf_counter()
-    axis, x, ms, g, _, structure = analysis
+    axis, x, ms, g, rng, structure = analysis
     sizes = [size for _, size, _ in structure]
     powers = [np.linalg.matrix_power(g - lam * np.eye(len(g)), size) for lam, size, _ in structure]
     u = np.hstack([np.linalg.svd(a)[2][len(a) - size :].conj().T for a, size in zip(powers, sizes)])
     blocks = np.linalg.solve(u, ms @ u)
     fit = np.zeros_like(blocks)
-    terms = sum(sizes)  # the scalar parts
+    terms = 0
     for first, size in zip(np.cumsum([0, *sizes]), sizes):
         part = np.s_[:, first : first + size, first : first + size]
+        if (local := _local_algebra_fit(blocks[part], rng)) is not None:
+            fit[part], terms = local, terms + 2 * size - 1
+            continue
         fit[part] = np.trace(blocks[part], axis1=1, axis2=2)[:, None, None] / size * np.eye(size)
+        terms += size  # the scalar part
         nilpotent = (blocks[part] - fit[part]).reshape(len(ms), -1)
         coef, sv, mats = np.linalg.svd(nilpotent, full_matrices=False)
         for q in range(_matrix_rank(nilpotent, np.linalg.norm(blocks))):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loccsim import convert
+from loccsim import convert, invariants
 from loccsim.cli import main
 from loccsim.invariants import ProbeConfig
 from loccsim.states import Register, computational, epr, ghz, load_state, save_state, w_state
@@ -424,7 +424,14 @@ def test_main_builds_no_parser_per_call(monkeypatch, capsys):
 # golden reports: stdout and --json of each report path, byte for byte
 
 
+VERDICT_DEMOS = {
+    "demo_prop1": ["demo", "prop1"],
+    "demo_prop2_w": ["demo", "prop2", "w"],
+    "demo_prop2_ghz": ["demo", "prop2", "ghz"],
+}
+
 GOLDEN_CASES = {
+    **VERDICT_DEMOS,
     "demo_prop3_2-5": ["demo", "prop3", "2/5"],
     "demo_prop3_0.45_AC": ["demo", "prop3", "0.45", "--placement", "AC"],
     "demo_intro": ["demo", "intro"],
@@ -442,3 +449,19 @@ def test_golden_reports(name, tmp_path, monkeypatch, capsys):
     assert main([*GOLDEN_CASES[name], "--json", str(report)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_verdict_demos_run_no_probe(monkeypatch, capsys):
+    # every bundled product-term count is met by an exact decomposition
+    called = []
+    probe = invariants.cp_rank_probe
+
+    def recording(t, r, config=None):
+        called.append(r)
+        return probe(t, r, config)
+
+    monkeypatch.setattr(invariants, "cp_rank_probe", recording)
+    for argv in VERDICT_DEMOS.values():
+        assert main(argv) == 0
+    assert called == []
+    assert capsys.readouterr().out.count("verdict: impossible") == 3

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loccsim import invariants
@@ -55,6 +56,42 @@ def _near_ghz(eps: float, register=ABC) -> PureState:
     return PureState(register, v / np.linalg.norm(v))
 
 
+def _structure_tensor(c: np.ndarray) -> PartyTensor:
+    # c[i, j, k]: the coefficient of basis element k in the product of i and j
+    return PartyTensor(("A", "B", "C"), c.shape, c / np.linalg.norm(c))
+
+
+def _monomial_algebra(monomials, relations=()) -> np.ndarray:
+    # structure constants of a commutative algebra with the given basis of
+    # exponent tuples; a product outside the basis (or in `relations`) is 0
+    index = {m: i for i, m in enumerate(monomials)}
+    c = np.zeros((len(monomials),) * 3)
+    for i, p in enumerate(monomials):
+        for j, q in enumerate(monomials):
+            prod = tuple(a + b for a, b in zip(p, q))
+            if prod in index and prod not in relations:
+                c[i, j, index[prod]] = 1.0
+    return c
+
+
+CUBIC = _monomial_algebra([(0,), (1,), (2,)])  # C[x]/(x³)
+QUARTIC = _monomial_algebra([(0,), (1,), (2,), (3,)])  # C[x]/(x⁴): N² = ⟨x², x³⟩
+SQUARE_ZERO = _monomial_algebra([(0, 0), (1, 0), (0, 1)])  # C[x, y]/(x, y)²: N² = 0
+# C[x, y]/(x², xy, y³): N² = ⟨y²⟩, but x is in the kernel of the form on N/N²
+DEGENERATE_FORM = _monomial_algebra([(0, 0), (1, 0), (0, 1), (0, 2)])
+
+
+def _two_jordan_pencil() -> PartyTensor:
+    # the 2 x 4 x 4 pencil (I, J₂(0) ⊕ J₂(1)): Ja'Ja' proves 5 terms, and with
+    # two defective eigenvalues the exact fit does not meet them, so rank 5 runs ALS
+    j = np.zeros((4, 4))
+    j[0, 1] = j[2, 2] = j[2, 3] = j[3, 3] = 1.0
+    return _structure_tensor(np.stack([np.eye(4), j]))
+
+
+PENCIL = _two_jordan_pencil()
+
+
 def random_state(rng, register=ABC):
     v = rng.normal(size=register.dim) + 1j * rng.normal(size=register.dim)
     return PureState(register, v / np.linalg.norm(v))
@@ -66,10 +103,10 @@ def haar_unitary(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def bounded_invertible(rng, cond_cap=10.0):
-    """Random invertible 2x2 with condition number below the cap."""
+def bounded_invertible(rng, cond_cap=10.0, dim=2):
+    """Random invertible dim x dim with condition number below the cap."""
     while True:
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         if np.linalg.cond(m) < cond_cap:
             return m
 
@@ -315,25 +352,27 @@ def _recording_probe(monkeypatch) -> list[int]:
 
 def test_estimate_leaves_no_process():
     # every fit runs in this process, also on a scan that ends in CapExceeded
-    product_term_estimate(PartyTensor.from_state(W_W))
+    product_term_estimate(PENCIL)
     with pytest.raises(CapExceeded, match="up to rank 8"):
         product_term_estimate(PartyTensor.from_state(ghz(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30))
     assert multiprocessing.active_children() == []
 
 
 def test_estimate_probes_match_direct_probes():
-    t = PartyTensor.from_state(W_W)
-    est = product_term_estimate(t)
+    est = product_term_estimate(PENCIL)
     excluded = [(p.tested_rank, p.stop_reason, p.best_residual, p.converged, p.sweeps) for p in est.probes[:-1]]
-    assert excluded == [(r, "excluded", float("inf"), False, 0) for r in (4, 5, 6)]
-    assert est.probes[-1] == cp_rank_probe(t, 7)
+    assert excluded == [(4, "excluded", float("inf"), False, 0)]
+    assert (est.terms, est.lower_bound_rule) == (5, "pencil")
+    assert est.probes[-1] == cp_rank_probe(PENCIL, 5)
+    assert est.probes[-1].stop_reason == "converged"
 
 
 def test_estimate_calls_a_replaced_probe_in_process(monkeypatch):
     called = _recording_probe(monkeypatch)
-    est = product_term_estimate(PartyTensor.from_state(W_W))
-    # the ranks below the Alder-Strassen bound run no fit
-    assert called == [7] and est.terms == 7
+    est = product_term_estimate(PENCIL)
+    # the rank below the Ja'Ja' bound runs no fit, and the exact fit leaves
+    # the bound itself to ALS
+    assert called == [5] and est.terms == 5
 
 
 def test_estimate_falls_back_to_als_when_the_exact_fit_misses_fit_tol(monkeypatch):
@@ -357,6 +396,91 @@ def test_exact_entry_mends_the_catalyst_count():
     (exact,) = est.probes
     assert (exact.tested_rank, exact.stop_reason, exact.sweeps, exact.converged) == (4, "exact", 0, True)
     assert exact.best_residual < 1e-12
+
+
+def test_w_w_count_is_exact_with_no_probe(monkeypatch):
+    called = _recording_probe(monkeypatch)
+    est = product_term_estimate(PartyTensor.from_state(W_W))
+    assert [(p.tested_rank, p.stop_reason) for p in est.probes[:-1]] == [(r, "excluded") for r in (4, 5, 6)]
+    exact = est.probes[-1]
+    assert (exact.tested_rank, exact.stop_reason, exact.sweeps, exact.converged) == (7, "exact", 0, True)
+    assert exact.best_residual < 1e-12
+    assert (est.terms, est.heuristic) == (7, False) and called == []
+    # w comes from the analysis's own seeded draws, so a rerun repeats the residual
+    assert product_term_estimate(PartyTensor.from_state(W_W)) == est
+
+
+def test_exact_fit_meets_the_bound_on_a_truncated_polynomial_algebra(monkeypatch):
+    # C[x]/(x³): one local factor of dimension 3, so 2·3 - 1 terms
+    called = _recording_probe(monkeypatch)
+    est = product_term_estimate(_structure_tensor(CUBIC))
+    assert (est.terms, est.heuristic, est.lower_bound_rule) == (5, False, "alder-strassen")
+    exact = est.probes[-1]
+    assert (exact.tested_rank, exact.stop_reason, exact.sweeps) == (5, "exact", 0)
+    assert exact.best_residual < 1e-12 and called == []
+
+
+def test_w_w_keeps_its_exact_entry_under_invertible_local_maps(monkeypatch):
+    called = _recording_probe(monkeypatch)
+    rng = np.random.default_rng(1707)
+    base = PartyTensor.from_state(W_W)
+    for _ in range(10):
+        ops = [bounded_invertible(rng, cond_cap=30.0, dim=4) for _ in range(3)]
+        v = np.einsum("ia,jb,kc,abc->ijk", *ops, base.data)
+        est = product_term_estimate(PartyTensor(base.parties, base.shape, v / np.linalg.norm(v)))
+        exact = est.probes[-1]
+        assert (est.terms, exact.tested_rank, exact.stop_reason) == (7, 7, "exact")
+        assert exact.best_residual < exact.config.fit_tol
+    assert called == []
+
+
+@pytest.mark.parametrize(
+    "slices",
+    [
+        np.stack([np.eye(2), np.eye(2, k=1)]),  # C[x]/(x²): dimension 2
+        np.stack([np.eye(3), np.eye(3, k=1)]),  # a pencil's 3-long Jordan block spans 2 dimensions
+        np.transpose(QUARTIC, (0, 2, 1)),
+        np.transpose(SQUARE_ZERO, (0, 2, 1)),
+        np.transpose(DEGENERATE_FORM, (0, 2, 1)),
+        np.zeros((3, 3, 3)),
+    ],
+    ids=["dual-numbers", "jordan-pencil", "quartic", "square-zero", "degenerate-form", "zero"],
+)
+def test_local_algebra_fit_declines_where_it_does_not_apply(slices):
+    # its regular representation (or pencil) is the block; no warning, no error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invariants._local_algebra_fit(slices.astype(complex), np.random.default_rng(0)) is None
+
+
+def test_exact_fit_declines_an_algebra_the_recipe_does_not_cover():
+    # C[x]/(x⁴) has its Alder-Strassen bound proven, but N³ != 0; the other two
+    # algebras above have no cyclic vector for these slices, so no bound to fit
+    t = _structure_tensor(QUARTIC)
+    bound, rule, analysis = invariants._proof(t)
+    assert (bound, rule) == (7, "alder-strassen")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert invariants._exact_fit(t, bound, ProbeConfig(), analysis) is None
+
+
+def _w_catalyst_counts(cat: PureState, monkeypatch) -> tuple:
+    called = _recording_probe(monkeypatch)
+    ob = catalysis_verdict(tensor(w_state(ABC), cat), tensor(ghz(ABC), cat)).product_term_obstruction
+    return ob.source_terms, ob.target_terms, ob.heuristic, called
+
+
+@pytest.mark.parametrize("a, b, c", [(0.024686, 0.355251, 0.525734), (0.017446, 0.30193, 0.328856)])
+def test_w_class_catalysts_the_probe_overcounted(a, b, c, monkeypatch):
+    # the rank-7 probe of these W sides failed, so a probe-only scan counted 8 and 10
+    assert _w_catalyst_counts(w_family(a, b, c, 1 - a - b - c, DEF), monkeypatch) == (7, 6, False, [])
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(weights=st.tuples(*[st.floats(0.01, 1.0)] * 3, st.floats(0.0, 1.0)))
+def test_w_class_catalysts_have_exact_counts(weights, monkeypatch):
+    a, b, c, d = np.array(weights) / sum(weights)
+    assert _w_catalyst_counts(w_family(a, b, c, d, DEF), monkeypatch) == (7, 6, False, [])
 
 
 # ---------------------------------------------------------------------------
