@@ -13,6 +13,7 @@ convergence tolerance).
 
 import argparse
 
+from loccsim.errors import ConstraintViolation
 from loccsim.invariants import PartyTensor, ProbeConfig, cp_rank_probe, proven_lower_bound
 from loccsim.prebuilt import bipartite_catalysis_pair
 from loccsim.states import Register, ghz, w_state
@@ -40,7 +41,10 @@ def main() -> None:
     ap.add_argument("--seed", type=lambda s: int(s, 0), default=ProbeConfig().seed)
     args = ap.parse_args()
 
-    config = ProbeConfig(restarts=args.restarts, seed=args.seed)
+    try:
+        config = ProbeConfig(restarts=args.restarts, seed=args.seed)
+    except ConstraintViolation as exc:
+        ap.error(str(exc))
     profile("flat triple", w_state(ABC), 3, config)
     profile("balanced triple", ghz(ABC), 2, config)
 

@@ -14,6 +14,7 @@ from .convert import (
     UNDETERMINED,
     CatalysisVerdict,
     ConversionBound,
+    PartyRank,
     ProductTermObstruction,
     RankObstruction,
     catalysis_verdict,

@@ -32,7 +32,7 @@ from .prebuilt import (
 )
 from .protocol import ProtocolResult, run_protocol
 from .protofile import _to_float, parse_protocol_file
-from .states import load_state, schmidt, state_to_dict
+from .states import _sig12, load_state, schmidt, state_to_dict
 
 OPTIMALITY_TOL = 1e-9
 
@@ -61,10 +61,6 @@ def _int_from(low: int):
 
 def _prob(p: float) -> str:
     return f"{p:.12f}"
-
-
-def _jprob(p: float) -> float:
-    return float(f"{p:.12g}")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +130,7 @@ def _run_and_report(prepared, doc: dict) -> ProtocolResult:
     for leaf in result.leaves():
         print(f"{leaf.record:<8} {_prob(leaf.prob)}  {leaf.status}")
     print(f"success probability: {_prob(result.success_probability)}")
-    doc["success_probability"] = _jprob(result.success_probability)
+    doc["success_probability"] = _sig12(result.success_probability)
     doc["tree"] = result.root.to_dict()
     return result
 
@@ -180,7 +176,7 @@ def _demo_ghz2epr(args):
     spectra = doc["spectra"] = {}
     for leaf in result.leaves():
         coeffs = schmidt(leaf.state, ["B"])
-        spectra[leaf.record] = [_jprob(x) for x in coeffs]
+        spectra[leaf.record] = [_sig12(x) for x in coeffs]
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
     doc["tree"] = doc.pop("tree")  # the report keeps spectra before the tree
@@ -197,7 +193,7 @@ def _cmd_sweep(args):
         b = splitting_bound(prepared.state, prop3_target(args.placement))
         print(f"{_prob(a)}  {_prob(p)}  {_prob(2 * a)}  {_prob(b.bound)}")
         rows.append(
-            {"a": _jprob(a), "engine": _jprob(p), "closed_form": _jprob(2 * a), "bound": _jprob(b.bound)}
+            {"a": _sig12(a), "engine": _sig12(p), "closed_form": _sig12(2 * a), "bound": _sig12(b.bound)}
         )
     return 0, {"sweep": "prop3", "placement": args.placement, "rows": rows}
 

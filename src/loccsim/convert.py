@@ -8,15 +8,15 @@ bound, and the minimum over splittings bounds any collective protocol.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
 from .invariants import PartyTensor, ProbeConfig, product_term_estimate
-from .states import PureState, schmidt
+from .states import PureState, _Report, _sig12, schmidt
 
 ZERO_TAIL = 1e-12
 
@@ -77,10 +77,6 @@ class ConversionBound:
         }
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _compatible_registers(source: PureState, target: PureState) -> tuple[str, ...]:
     ps = source.register.party_labels()
     pt = target.register.party_labels()
@@ -138,59 +134,40 @@ def splitting_bound(
 # catalysis verdicts
 
 
+class PartyRank(NamedTuple):
+    """One party's rank on each side; a report writes it as an object."""
+
+    party: str
+    source_rank: int
+    target_rank: int
+
+
 @dataclass(frozen=True)
-class RankObstruction:
+class RankObstruction(_Report):
     """What the per-party ranks exclude: either the whole transformation
     (a target rank exceeds the source rank) or every non-invertible local
     operator (all ranks equal)."""
 
     kind: str  # "target_rank_exceeds_source" | "equal_ranks_exclude_noninvertible"
-    triples: tuple[tuple[str, int, int], ...]  # (party, source rank, target rank)
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "triples": [
-                {"party": p, "source_rank": s, "target_rank": t} for p, s, t in self.triples
-            ],
-        }
+    triples: tuple[PartyRank, ...]
 
 
 @dataclass(frozen=True)
-class ProductTermObstruction:
+class ProductTermObstruction(_Report):
     """Converged product-term counts that differ, excluding invertible operators."""
 
     source_terms: int
     target_terms: int
     heuristic: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
-class CatalysisVerdict:
+class CatalysisVerdict(_Report):
     feasible: str  # IMPOSSIBLE | UNDETERMINED
-    party_ranks: tuple[tuple[str, int, int], ...]
+    party_ranks: tuple[PartyRank, ...]
     rank_obstruction: RankObstruction | None = None
     product_term_obstruction: ProductTermObstruction | None = None
     notes: tuple[str, ...] = field(default=())
-
-    def to_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "party_ranks": [
-                {"party": p, "source_rank": s, "target_rank": t}
-                for p, s, t in self.party_ranks
-            ],
-            "rank_obstruction": self.rank_obstruction.to_dict()
-            if self.rank_obstruction
-            else None,
-            "product_term_obstruction": self.product_term_obstruction.to_dict()
-            if self.product_term_obstruction
-            else None,
-            "notes": list(self.notes),
-        }
 
 
 def catalysis_verdict(
@@ -215,9 +192,9 @@ def catalysis_verdict(
     """
     parties = _compatible_registers(source, target)
     tensors = [PartyTensor.from_state(s) for s in (source, target)]
-    triples = tuple(zip(parties, *(t.ranks for t in tensors)))
+    triples = tuple(map(PartyRank, parties, *(t.ranks for t in tensors)))
 
-    exceeding = tuple(t for t in triples if t[2] > t[1])
+    exceeding = tuple(t for t in triples if t.target_rank > t.source_rank)
     if exceeding:
         return CatalysisVerdict(
             feasible=IMPOSSIBLE,
@@ -225,7 +202,7 @@ def catalysis_verdict(
             rank_obstruction=RankObstruction("target_rank_exceeds_source", exceeding),
         )
 
-    if any(t[1] != t[2] for t in triples):
+    if any(t.source_rank != t.target_rank for t in triples):
         return CatalysisVerdict(
             feasible=UNDETERMINED,
             party_ranks=triples,

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolation, WrongArity
-from .states import RANK_TOL, PureState, _cut, _rank
+from .states import NORM_TOL, RANK_TOL, PureState, _cut, _rank, _Report
 
 CLASS_TOL = 1e-8
 
@@ -30,13 +30,6 @@ _STALL_ABS = 1e-12
 _STALL_REL = 1e-4
 _STALL_WINDOW = 100
 _RIDGE = 1e-12
-
-
-def _doc(pairs) -> dict:
-    # dict_factory for asdict, which keeps tuples and non-finite floats; a report
-    # holds lists, and strict JSON has no inf or nan, so such a float reads null
-    doc = {k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in pairs}
-    return {k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,8 +50,10 @@ class PartyTensor:
         d = np.asarray(self.data, dtype=np.complex128)
         if d.shape != tuple(self.shape):
             raise ConstraintViolation(f"data shape {d.shape} != declared {self.shape}")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise ConstraintViolation("party tensor must have unit Frobenius norm")
+        nrm = np.linalg.norm(d)
+        # written so that a NaN norm fails the check too
+        if not abs(nrm - 1.0) <= NORM_TOL:
+            raise ConstraintViolation(f"party tensor norm {nrm!r} deviates from 1 by > {NORM_TOL}")
         d = d.copy()
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
@@ -118,7 +113,7 @@ def _tangle(t: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class SloccClass:
+class SloccClass(_Report):
     """Classification verdict plus the evidence it rests on."""
 
     label: str  # "product" | "biseparable-X" | "ghz-class" | "w-class"
@@ -127,7 +122,7 @@ class SloccClass:
     tangle: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self, dict_factory=_doc), "rank_tol": RANK_TOL, "class_tol": CLASS_TOL}
+        return {**super().to_dict(), "rank_tol": RANK_TOL, "class_tol": CLASS_TOL}
 
 
 def slocc_class(s: PureState) -> SloccClass:
@@ -157,7 +152,7 @@ def slocc_class(s: PureState) -> SloccClass:
 
 
 @dataclass(frozen=True)
-class ProbeConfig:
+class ProbeConfig(_Report):
     restarts: int = 32
     max_iters: int = 2000
     fit_tol: float = 1e-8
@@ -166,13 +161,15 @@ class ProbeConfig:
     def __post_init__(self):
         if self.seed < 0:
             raise ConstraintViolation(f"probe seed must be non-negative, got {self.seed}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+        if self.restarts < 1:
+            raise ConstraintViolation(f"a probe needs at least one restart, got {self.restarts}")
+        # written so that NaN fails the check too: such a fit never converges
+        if not 0 < self.fit_tol < np.inf:
+            raise ConstraintViolation(f"probe fit_tol must be finite and positive, got {self.fit_tol!r}")
 
 
 @dataclass(frozen=True)
-class RankProbeResult:
+class RankProbeResult(_Report):
     """One probed rank.  ``converged`` is ``best_residual < fit_tol``, read
     apart from ``stop_reason``, so a probe that stopped at the ``"cap"`` can
     report it converged."""
@@ -188,9 +185,6 @@ class RankProbeResult:
     stop_reason: str
     sweeps: int
     wall_s: float = field(compare=False)  # timing, so equality ignores it
-
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_doc)
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
@@ -296,7 +290,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
 
 
 @dataclass(frozen=True)
-class ProductTermEstimate:
+class ProductTermEstimate(_Report):
     """Smallest rank with a converged or exact fit, and the proven lower bound it was scanned from."""
 
     terms: int
@@ -305,9 +299,6 @@ class ProductTermEstimate:
     probes: tuple[RankProbeResult, ...]
     lower_bound: int
     lower_bound_rule: str  # "flattening" | "pencil" | "alder-strassen"
-
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_doc)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ from .protocol import (
 )
 from .states import PureState, Register, epr, ghz, tensor, w_family, w_state
 
+# sites 1-3, one per party, where every bundled input keeps its triple
+_ABC = Register.for_parties("A", "B", "C")
+
 # weight domain of the one-parameter conversion family
 _WEIGHT_LO = 1 / 3
 _WEIGHT_HI = 1 / 2
@@ -67,15 +70,14 @@ def bipartite_catalysis_pair(
     pair ``sqrt(alpha)|00> + sqrt(beta)|11>`` held by B and C (sites 4, 5);
     the target carries the maximally entangled triple instead, same pair.
     """
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
     reg_cat = Register.of([(4, "B"), (5, "C")])
     amps = np.zeros(4, dtype=np.complex128)
     amps[0b00] = np.sqrt(alpha)
     amps[0b11] = np.sqrt(beta)
     cat = PureState(reg_cat, amps)
     return (
-        tensor(w_family(a, b, c, 0.0, reg3), cat),
-        tensor(ghz(reg3), cat),
+        tensor(w_family(a, b, c, 0.0, _ABC), cat),
+        tensor(ghz(_ABC), cat),
     )
 
 
@@ -85,7 +87,6 @@ def tripartite_catalysis_pair(catalyst: str = "w") -> tuple[PureState, PureState
     Sites 1-3 hold the state to convert, sites 4-6 the catalyst; both
     registers are split over A, B, C in order.
     """
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
     reg_cat = Register.of([(4, "A"), (5, "B"), (6, "C")])
     if catalyst == "w":
         cat = w_state(reg_cat)
@@ -94,8 +95,8 @@ def tripartite_catalysis_pair(catalyst: str = "w") -> tuple[PureState, PureState
     else:
         raise ParameterOutOfRange(f"catalyst must be 'w' or 'ghz', got {catalyst!r}")
     return (
-        tensor(w_state(reg3), cat),
-        tensor(ghz(reg3), cat),
+        tensor(w_state(_ABC), cat),
+        tensor(ghz(_ABC), cat),
     )
 
 
@@ -117,9 +118,8 @@ def _near_party(placement: str) -> str:
 def _pair_input(x: float, measurer: str, near: str) -> PureState:
     """Weight 1-2x on the measurer's site and x on the other two of sites
     1-3, plus an EPR pair: site 4 with ``near``, site 5 with the measurer."""
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
-    weights = [1 - 2 * x if party == measurer else x for party in reg3.parties]
-    return tensor(w_family(*weights, 0.0, reg3), epr(Register.of([(4, near), (5, measurer)])))
+    weights = [1 - 2 * x if party == measurer else x for party in _ABC.parties]
+    return tensor(w_family(*weights, 0.0, _ABC), epr(Register.of([(4, near), (5, measurer)])))
 
 
 def _pair_conversion(x: float, measurer: str, near: str, name: str) -> PreparedProtocol:
@@ -197,10 +197,9 @@ def intro_teleport() -> PreparedProtocol:
     Charlie through (2, 3).  The ancilla triple is part of the input
     register from the start; "prepared locally" means it costs nothing.
     """
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
     pair = Register.of([(4, "A"), (5, "B")])
     local = Register.of([(6, "B"), (7, "B"), (8, "B")])
-    state = tensor(tensor(w_state(reg3), epr(pair)), ghz(local))
+    state = tensor(tensor(w_state(_ABC), epr(pair)), ghz(local))
     steps = (
         Measure("A", 1, "Z", accept="0"),
         Unitary("B", (2,), PAULI_X),
@@ -217,7 +216,7 @@ def ghz_to_epr() -> PreparedProtocol:
     Alice measures in the X basis; outcome 1 leaves a sign Bob removes
     with Z.  Both branches succeed.
     """
-    state = ghz(Register.of([(1, "A"), (2, "B"), (3, "C")]))
+    state = ghz(_ABC)
     steps = (
         Measure("A", 1, "X", accept="*"),
         Unitary("B", (2,), PAULI_Z, when="1"),
@@ -241,9 +240,8 @@ def ghz_plus_epr_to_any(chi: PureState | None = None) -> PreparedProtocol:
     if chi.n_sites != 3:
         raise WrongArity(f"chi must be a three-qubit state, got {chi.n_sites} sites")
     chi = _rebuild(chi, (6, 7, 8), ("B", "B", "B"))
-    reg3 = Register.of([(1, "A"), (2, "B"), (3, "C")])
     pair = Register.of([(4, "A"), (5, "B")])
-    state = tensor(tensor(ghz(reg3), epr(pair)), chi)
+    state = tensor(tensor(ghz(_ABC), epr(pair)), chi)
     steps = (
         Measure("A", 1, "X", accept="*"),
         Unitary("B", (2,), PAULI_Z, when="1"),

@@ -23,7 +23,7 @@ from .errors import (
     SiteOwnership,
 )
 from .invariants import _tangle, _unfold
-from .states import PureState, Register, _cut
+from .states import PureState, Register, _cut, _sig12
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -284,7 +284,7 @@ class BranchNode:
         success = None if self.status == "internal" else self.status == "success"
         return {
             "record": self.record,
-            "prob": float(f"{self.prob:.12g}"),
+            "prob": _sig12(self.prob),
             "success": success,
             "children": [c.to_dict() for c in self.children],
         }

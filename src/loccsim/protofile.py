@@ -44,8 +44,8 @@ from .protocol import (
 )
 from .states import PureState, Register, epr, ghz, ghz_class, tensor, w_family
 
-# family name -> (numeric parameter count, site count)
-_FAMILIES = {"w": (4, 3), "ghz": (0, 3), "epr": (0, 2), "ghzclass": (5, 3)}
+# family name -> (constructor, numeric parameter count, site count)
+_FAMILIES = {"w": (w_family, 4, 3), "ghz": (ghz, 0, 3), "epr": (epr, 0, 2), "ghzclass": (ghz_class, 5, 3)}
 
 
 def _tokenize(line: str) -> list[tuple[str, int]]:
@@ -129,7 +129,7 @@ def _parse_state_clause(cur: _Cursor) -> tuple[str, list[float], list[str]]:
             line=cur.line_no,
             column=col,
         )
-    n_params, n_sites = _FAMILIES[kind]
+    _, n_params, n_sites = _FAMILIES[kind]
     params = [cur.number(f"{kind} parameter {i + 1}") for i in range(n_params)]
     cur.keyword("parties")
     parties = [cur.take(f"party label {i + 1}")[0] for i in range(n_sites)]
@@ -139,13 +139,7 @@ def _parse_state_clause(cur: _Cursor) -> tuple[str, list[float], list[str]]:
 
 def _family_state(kind: str, params: list[float], reg: Register, line_no: int) -> PureState:
     try:
-        if kind == "w":
-            return w_family(*params, reg)
-        if kind == "ghz":
-            return ghz(reg)
-        if kind == "epr":
-            return epr(reg)
-        return ghz_class(*params, reg)
+        return _FAMILIES[kind][0](*params, reg)
     except (ConstraintViolation, DegenerateState) as exc:
         raise SemanticError(str(exc), line=line_no) from exc
 
@@ -268,7 +262,7 @@ def _parse_target(cur: _Cursor, survivors: tuple[int, ...]) -> Target:
         return Target("ghz-lu", sites=trio)
     if mode == "exact":
         kind, params, parties = _parse_state_clause(cur)
-        n_sites = _FAMILIES[kind][1]
+        n_sites = _FAMILIES[kind][2]
         if len(survivors) != n_sites:
             raise SemanticError(
                 f"exact {kind} target needs {n_sites} sites but the steps "

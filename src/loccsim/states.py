@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -357,6 +357,29 @@ def apply_site_ops(s: PureState, ops: Mapping[int, np.ndarray]) -> PureState:
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+def _sig12(x: float) -> float:
+    """The one rounding rule for report floats: 12 significant digits."""
+    return float(f"{x:.12g}")
+
+
+def _doc(v):
+    """The one report rule: ``v`` as JSON data.  A record becomes an object of
+    its fields in order, a named row an object, a tuple a list, and a
+    non-finite float null, since strict JSON has no inf or nan."""
+    if isinstance(v, _Report):
+        return v.to_dict()
+    if isinstance(v, tuple):
+        return v._asdict() if hasattr(v, "_asdict") else [_doc(x) for x in v]
+    return None if isinstance(v, float) and not np.isfinite(v) else v
+
+
+class _Report:
+    """Mixin for a dataclass result record whose report is its fields through ``_doc``."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _doc(getattr(self, f.name)) for f in fields(self)}
 
 
 def state_to_dict(s: PureState) -> dict:

@@ -439,14 +439,24 @@ GOLDEN_CASES = {
     # a relative path, so that the report's "protocol" field is fixed
     "run_conversion": ["run", "tests/golden/conversion.loccsim"],
     "sweep_prop3": ["sweep", "prop3", "--from", "1/3", "--to", "0.49", "--points", "4"],
+    # verdicts no bundled demo reaches: a rank-1 party C (EPR between A and B
+    # beside |0> at C) against GHZ, the reverse, and W against W
+    "verdict_rank_increase": ["verdict", "tests/golden/epr_ab_zero_c.json", "tests/golden/ghz.json"],
+    "verdict_ranks_differ": ["verdict", "tests/golden/ghz.json", "tests/golden/epr_ab_zero_c.json"],
+    "verdict_equal_counts": ["verdict", "tests/golden/w.json", "tests/golden/w.json"],
+    "classify_biseparable": ["classify", "tests/golden/epr_ab_zero_c.json"],
+    "bound_w_ghz": ["bound", "tests/golden/w.json", "tests/golden/ghz.json"],
 }
+
+# exit codes other than 0
+GOLDEN_EXIT = {"verdict_rank_increase": 3}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_reports(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     report = tmp_path / "report.json"
-    assert main([*GOLDEN_CASES[name], "--json", str(report)]) == 0
+    assert main([*GOLDEN_CASES[name], "--json", str(report)]) == GOLDEN_EXIT.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
 

@@ -9,7 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from loccsim import invariants
-from loccsim.convert import ProductTermObstruction, catalysis_verdict
+from loccsim.convert import (
+    CatalysisVerdict,
+    PartyRank,
+    ProductTermObstruction,
+    RankObstruction,
+    catalysis_verdict,
+)
 from loccsim.errors import CapExceeded, ConstraintViolation, WrongArity
 from loccsim.invariants import (
     PartyTensor,
@@ -151,6 +157,12 @@ def test_party_tensor_three_qubits():
     t = PartyTensor.from_state(ghz(ABC))
     assert t.shape == (2, 2, 2)
     assert np.allclose(t.data.reshape(-1), ghz(ABC).amplitudes)
+
+
+def test_party_tensor_rejects_a_nan_norm():
+    # a NaN norm fails the norm check, before the SVDs of the ranks
+    with pytest.raises(ConstraintViolation, match="norm"):
+        PartyTensor(("A", "B"), (2, 2), np.full((2, 2), np.nan))
 
 
 def test_flattening_ranks_match_reduced_densities():
@@ -651,6 +663,11 @@ def test_report_documents_keep_their_keys_and_json():
     cfg = ProbeConfig(restarts=4, max_iters=300, fit_tol=1e-6, seed=7)
     probe = RankProbeResult(3, 2.5e-12, True, 4, 7, cfg, "converged", 120, wall_s=0.125)
     cfg_json = '{"restarts": 4, "max_iters": 300, "fit_tol": 1e-06, "seed": 7}'
+    rows = (PartyRank("A", 2, 2), PartyRank("B", 4, 4))
+    rows_json = (
+        '[{"party": "A", "source_rank": 2, "target_rank": 2}, '
+        '{"party": "B", "source_rank": 4, "target_rank": 4}]'
+    )
     probe_json = (
         '{"tested_rank": 3, "best_residual": 2.5e-12, "converged": true, "restarts": 4, '
         f'"seed": 7, "config": {cfg_json}, "stop_reason": "converged", "sweeps": 120, '
@@ -673,6 +690,20 @@ def test_report_documents_keep_their_keys_and_json():
             '{"label": "w-class", "parties": ["A", "B", "C"], "ranks": [2, 2, 2], '
             '"tangle": 0.0, "rank_tol": 1e-10, "class_tol": 1e-08}',
         ),
+        (
+            # a named row becomes an object
+            CatalysisVerdict(
+                "impossible",
+                rows,
+                RankObstruction("equal_ranks_exclude_noninvertible", rows),
+                ProductTermObstruction(6, 4, True),
+                ("a note",),
+            ),
+            f'{{"feasible": "impossible", "party_ranks": {rows_json}, "rank_obstruction": '
+            f'{{"kind": "equal_ranks_exclude_noninvertible", "triples": {rows_json}}}, '
+            '"product_term_obstruction": {"source_terms": 6, "target_terms": 4, "heuristic": true}, '
+            '"notes": ["a note"]}',
+        ),
     ]
     for obj, text in expected:
         doc = obj.to_dict()
@@ -681,7 +712,23 @@ def test_report_documents_keep_their_keys_and_json():
         assert doc == json.loads(text)
 
 
-def test_negative_probe_seed_is_rejected():
-    # where the config is made, not as a ValueError from inside a probe
-    with pytest.raises(ConstraintViolation, match="non-negative"):
-        ProbeConfig(seed=-1)
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        pytest.param(field, value, match, id=f"{field}={value}")
+        for field, value, match in [
+            ("seed", -1, "non-negative"),
+            ("restarts", 0, "restart"),
+            ("restarts", -2, "restart"),
+            ("fit_tol", float("nan"), "fit_tol"),
+            ("fit_tol", -1e-8, "fit_tol"),
+            ("fit_tol", 0.0, "fit_tol"),
+            ("fit_tol", float("inf"), "fit_tol"),
+        ]
+    ],
+)
+def test_unusable_probe_config_is_rejected(field, value, match):
+    # where the config is made, not as a ValueError from inside a probe or a
+    # probe that can never converge and reports "stalled"
+    with pytest.raises(ConstraintViolation, match=match):
+        ProbeConfig(**{field: value})

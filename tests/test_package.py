@@ -88,6 +88,21 @@ def test_traced_names_exist():
     assert not missing, missing
 
 
+def test_cli_imports_only_numpy_and_the_standard_library():
+    # an installed package the code starts to import would be an undeclared
+    # dependency, and every import adds to each command's start-up time
+    code = (
+        "import sys; before = set(sys.modules); import loccsim.cli; "
+        "print(*sorted({name.split('.')[0] for name in set(sys.modules) - before}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    added = set(run.stdout.split())
+    assert {"loccsim", "numpy"} <= added
+    assert sorted(added - {"loccsim", "numpy"} - sys.stdlib_module_names) == []
+
+
 def test_rank_residuals_script_runs():
     # the profiling script builds party tensors and reads their proven bounds
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
