@@ -73,7 +73,6 @@ from .protocol import (
     BranchNode,
     Measure,
     Protocol,
-    ProtocolResult,
     Target,
     Teleport,
     Unitary,

@@ -30,9 +30,9 @@ from .prebuilt import (
     prop3_target,
     tripartite_catalysis_pair,
 )
-from .protocol import ProtocolResult, run_protocol
+from .protocol import BranchNode, run_protocol
 from .protofile import _to_float, parse_protocol_file
-from .states import _sig12, load_state, schmidt, state_to_dict
+from .states import _doc, load_state, schmidt, state_to_dict
 
 OPTIMALITY_TOL = 1e-9
 
@@ -117,22 +117,19 @@ def _cmd_run(args):
     with open(args.protocol) as fh:
         text = fh.read()
     state, proto = parse_protocol_file(text, name=args.protocol)
-    doc: dict = {"protocol": proto.name}
-    _run_and_report(PreparedProtocol(state, proto), doc)
-    return 0, doc
+    tree = _run_and_print(PreparedProtocol(state, proto))
+    return 0, _doc({"protocol": proto.name, "success_probability": tree.success_probability, "tree": tree})
 
 
-def _run_and_report(prepared, doc: dict) -> ProtocolResult:
-    """Run the protocol, print its leaves and success probability, and add
-    both to the report; returns the result."""
-    result = run_protocol(prepared.state, prepared.protocol)
+def _run_and_print(prepared) -> BranchNode:
+    """Run the protocol, print its leaves and success probability, and
+    return its branch tree."""
+    tree = run_protocol(prepared.state, prepared.protocol)
     print("outcome  probability     status")
-    for leaf in result.leaves():
+    for leaf in tree.leaves():
         print(f"{leaf.record:<8} {_prob(leaf.prob)}  {leaf.status}")
-    print(f"success probability: {_prob(result.success_probability)}")
-    doc["success_probability"] = _sig12(result.success_probability)
-    doc["tree"] = result.root.to_dict()
-    return result
+    print(f"success probability: {_prob(tree.success_probability)}")
+    return tree
 
 
 def _demo_prop1(args):
@@ -148,8 +145,8 @@ def _demo_prop2(args):
 def _demo_prop3(args):
     a, placement = args.value, args.placement
     prepared = prop3(a, placement)
-    doc: dict = {"demo": "prop3", "a": a, "placement": placement}
-    p = _run_and_report(prepared, doc).success_probability
+    tree = _run_and_print(prepared)
+    p = tree.success_probability
     b = splitting_bound(
         prepared.state,
         prop3_target(placement),
@@ -159,28 +156,25 @@ def _demo_prop3(args):
     _print_bound(b)
     achieved = abs(p - b.bound) <= OPTIMALITY_TOL
     print(f"optimal: {'achieved' if achieved else 'NOT matched'}")
-    doc["bound"] = b.to_dict()
-    doc["optimal"] = achieved
-    return 0, doc
+    doc = {"demo": "prop3", "a": a, "placement": placement, "success_probability": p, "tree": tree}
+    return 0, _doc({**doc, "bound": b, "optimal": achieved})
 
 
 def _demo_intro(args):
-    doc: dict = {"demo": "intro"}
-    _run_and_report(intro_teleport(), doc)
-    return 0, doc
+    tree = _run_and_print(intro_teleport())
+    return 0, _doc({"demo": "intro", "success_probability": tree.success_probability, "tree": tree})
 
 
 def _demo_ghz2epr(args):
-    doc: dict = {"demo": "ghz2epr"}
-    result = _run_and_report(ghz_to_epr(), doc)
-    spectra = doc["spectra"] = {}
-    for leaf in result.leaves():
-        coeffs = schmidt(leaf.state, ["B"])
-        spectra[leaf.record] = [_sig12(x) for x in coeffs]
+    tree = _run_and_print(ghz_to_epr())
+    spectra = {}
+    for leaf in tree.leaves():
+        coeffs = spectra[leaf.record] = schmidt(leaf.state, ["B"]).tolist()
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
-    doc["tree"] = doc.pop("tree")  # the report keeps spectra before the tree
-    return 0, doc
+    return 0, _doc(
+        {"demo": "ghz2epr", "success_probability": tree.success_probability, "spectra": spectra, "tree": tree}
+    )
 
 
 def _cmd_sweep(args):
@@ -192,10 +186,8 @@ def _cmd_sweep(args):
         p = run_protocol(prepared.state, prepared.protocol).success_probability
         b = splitting_bound(prepared.state, prop3_target(args.placement))
         print(f"{_prob(a)}  {_prob(p)}  {_prob(2 * a)}  {_prob(b.bound)}")
-        rows.append(
-            {"a": _sig12(a), "engine": _sig12(p), "closed_form": _sig12(2 * a), "bound": _sig12(b.bound)}
-        )
-    return 0, {"sweep": "prop3", "placement": args.placement, "rows": rows}
+        rows.append({"a": a, "engine": p, "closed_form": 2 * a, "bound": b.bound})
+    return 0, _doc({"sweep": "prop3", "placement": args.placement, "rows": rows})
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
 from .invariants import PartyTensor, ProbeConfig, product_term_estimate
-from .states import PureState, _Report, _sig12, schmidt
+from .states import PureState, _Report, schmidt
 
 ZERO_TAIL = 1e-12
 
@@ -60,21 +60,13 @@ def vidal_probability(alpha, beta) -> float:
 
 
 @dataclass(frozen=True)
-class ConversionBound:
+class ConversionBound(_Report):
     """Upper bound on the collective conversion probability, cut by cut."""
 
-    per_cut: dict[str, float]
-    bound: float
     source_id: str
     target_id: str
-
-    def to_dict(self) -> dict:
-        return {
-            "source_id": self.source_id,
-            "target_id": self.target_id,
-            "per_cut": {k: _sig12(v) for k, v in self.per_cut.items()},
-            "bound": _sig12(self.bound),
-        }
+    per_cut: dict[str, float]
+    bound: float
 
 
 def _compatible_registers(source: PureState, target: PureState) -> tuple[str, ...]:

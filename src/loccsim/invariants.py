@@ -120,9 +120,9 @@ class SloccClass(_Report):
     parties: tuple[str, ...]
     ranks: tuple[int, ...]
     tangle: float
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "rank_tol": RANK_TOL, "class_tol": CLASS_TOL}
+    # the tolerances the label rests on, reported with it
+    rank_tol: float = field(default=RANK_TOL, init=False)
+    class_tol: float = field(default=CLASS_TOL, init=False)
 
 
 def slocc_class(s: PureState) -> SloccClass:
@@ -159,10 +159,16 @@ class ProbeConfig(_Report):
     seed: int = 0x5EED
 
     def __post_init__(self):
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConstraintViolation(f"probe {name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConstraintViolation(f"probe seed must be non-negative, got {self.seed}")
         if self.restarts < 1:
             raise ConstraintViolation(f"a probe needs at least one restart, got {self.restarts}")
+        if self.max_iters < 1:
+            raise ConstraintViolation(f"a probe needs at least one sweep, got max_iters {self.max_iters}")
         # written so that NaN fails the check too: such a fit never converges
         if not 0 < self.fit_tol < np.inf:
             raise ConstraintViolation(f"probe fit_tol must be finite and positive, got {self.fit_tol!r}")

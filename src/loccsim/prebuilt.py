@@ -16,9 +16,9 @@ from .protocol import (
     CNOT,
     PAULI_X,
     PAULI_Z,
+    BranchNode,
     Measure,
     Protocol,
-    ProtocolResult,
     Target,
     Teleport,
     Unitary,
@@ -49,7 +49,7 @@ class PreparedProtocol:
     state: PureState
     protocol: Protocol
 
-    def run(self) -> ProtocolResult:
+    def run(self) -> BranchNode:
         return run_protocol(self.state, self.protocol)
 
 

@@ -23,7 +23,7 @@ from .errors import (
     SiteOwnership,
 )
 from .invariants import _tangle, _unfold
-from .states import PureState, Register, _cut, _sig12
+from .states import PureState, Register, _cut, _doc, _Report
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -273,7 +273,9 @@ def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState
 
 
 @dataclass(frozen=True)
-class BranchNode:
+class BranchNode(_Report):
+    """One node of a protocol's branch tree; ``run_protocol`` returns the root."""
+
     record: str
     prob: float
     state: PureState | None
@@ -281,13 +283,9 @@ class BranchNode:
     children: tuple["BranchNode", ...] = ()
 
     def to_dict(self) -> dict:
+        # a report derives success from the status and leaves out the state
         success = None if self.status == "internal" else self.status == "success"
-        return {
-            "record": self.record,
-            "prob": _sig12(self.prob),
-            "success": success,
-            "children": [c.to_dict() for c in self.children],
-        }
+        return _doc({"record": self.record, "prob": self.prob, "success": success, "children": self.children})
 
     def leaves(self) -> list["BranchNode"]:
         if not self.children:
@@ -297,14 +295,10 @@ class BranchNode:
             out.extend(c.leaves())
         return out
 
-
-@dataclass(frozen=True)
-class ProtocolResult:
-    root: BranchNode
-    success_probability: float
-
-    def leaves(self) -> list[BranchNode]:
-        return self.root.leaves()
+    @property
+    def success_probability(self) -> float:
+        """The summed probability of the success leaves under this node."""
+        return float(sum(leaf.prob for leaf in self.leaves() if leaf.status == "success"))
 
 
 def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
@@ -374,8 +368,9 @@ def _leaf_success(leaf: PureState, target: Target) -> bool:
     return _ghz_lu_success(leaf, target.sites)
 
 
-def run_protocol(s: PureState, p: Protocol) -> ProtocolResult:
-    """Execute all branches and grade the surviving leaves against the target.
+def run_protocol(s: PureState, p: Protocol) -> BranchNode:
+    """Execute all branches and grade the surviving leaves against the target;
+    returns the root of the branch tree.
 
     Branches a measurement does not accept stay in the tree as failure
     leaves and contribute zero success probability; children probabilities
@@ -411,6 +406,4 @@ def run_protocol(s: PureState, p: Protocol) -> ProtocolResult:
         status = "success" if _leaf_success(state, p.target) else "failure"
         return BranchNode(record, prob, state, status)
 
-    root = expand(s, "", 1.0, 0)
-    p_success = sum(leaf.prob for leaf in root.leaves() if leaf.status == "success")
-    return ProtocolResult(root, float(p_success))
+    return expand(s, "", 1.0, 0)

@@ -365,14 +365,21 @@ def _sig12(x: float) -> float:
 
 
 def _doc(v):
-    """The one report rule: ``v`` as JSON data.  A record becomes an object of
-    its fields in order, a named row an object, a tuple a list, and a
-    non-finite float null, since strict JSON has no inf or nan."""
+    """The one report rule: ``v`` as JSON data.  A record becomes its report,
+    a named row or a dict an object, a tuple or a list a list, a finite float
+    12 significant digits, and a non-finite float null, since strict JSON has
+    no inf or nan."""
     if isinstance(v, _Report):
         return v.to_dict()
-    if isinstance(v, tuple):
-        return v._asdict() if hasattr(v, "_asdict") else [_doc(x) for x in v]
-    return None if isinstance(v, float) and not np.isfinite(v) else v
+    if hasattr(v, "_asdict"):
+        v = v._asdict()
+    if isinstance(v, dict):
+        return {k: _doc(x) for k, x in v.items()}
+    if isinstance(v, (tuple, list)):
+        return [_doc(x) for x in v]
+    if isinstance(v, float):
+        return _sig12(v) if np.isfinite(v) else None
+    return v
 
 
 class _Report:
@@ -393,11 +400,19 @@ def state_to_dict(s: PureState) -> dict:
 
 
 def state_from_dict(d: Mapping) -> PureState:
+    """The state a document describes; site labels must be integers and
+    parties strings, as ``state_to_dict`` writes them."""
     try:
-        sites = [(int(row["label"]), str(row["party"])) for row in d["sites"]]
+        sites = [(row["label"], row["party"]) for row in d["sites"]]
         amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConstraintViolation(f"malformed state document: {exc}") from exc
+    for label, party in sites:
+        if type(label) is not int or not isinstance(party, str):
+            raise ConstraintViolation(
+                f"malformed state document: site label {label!r} and party {party!r} "
+                "must be an integer and a string"
+            )
     return PureState(Register.of(sites), amps)
 
 

@@ -12,7 +12,17 @@ import pytest
 from loccsim import convert, invariants
 from loccsim.cli import main
 from loccsim.invariants import ProbeConfig
-from loccsim.states import Register, computational, epr, ghz, load_state, save_state, w_state
+from loccsim.states import (
+    Register,
+    _sig12,
+    computational,
+    epr,
+    ghz,
+    ghz_class,
+    load_state,
+    save_state,
+    w_state,
+)
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
@@ -166,6 +176,18 @@ def test_classify_nan_amplitude(tmp_path, capsys):
     assert main(["classify", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_rejects_a_party_that_is_not_a_string(tmp_path, capsys):
+    path = tmp_path / "party.json"
+    save_state(w_state(ABC), path)
+    doc = json.loads(path.read_text())
+    doc["sites"][0]["party"] = 7
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed state document") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +481,25 @@ def test_golden_reports(name, tmp_path, monkeypatch, capsys):
     assert main([*GOLDEN_CASES[name], "--json", str(report)]) == GOLDEN_EXIT.get(name, 0)
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
     assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + ["classify_ghz_class"])
+def test_report_floats_carry_12_significant_digits(name, tmp_path, monkeypatch, capsys):
+    # every float of a --json report is rounded, except in a state document,
+    # which keeps full precision so that it loads back bit for bit
+    monkeypatch.chdir(REPO)
+    argv = GOLDEN_CASES.get(name)
+    if argv is None:
+        state = tmp_path / "ghz_class.json"
+        save_state(ghz_class(0.7, 1.1, 0.5, 0.9, 1.2, ABC), state)
+        argv = ["classify", str(state)]
+    report = tmp_path / "report.json"
+    assert main([*argv, "--json", str(report)]) == GOLDEN_EXIT.get(name, 0)
+    doc = json.loads(report.read_text())
+    doc.pop("state", None)
+    floats = []
+    json.loads(json.dumps(doc), parse_float=lambda text: floats.append(float(text)))
+    assert [x for x in floats if x != _sig12(x)] == []
 
 
 def test_verdict_demos_run_no_probe(monkeypatch, capsys):

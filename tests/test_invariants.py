@@ -15,6 +15,7 @@ from loccsim.convert import (
     ProductTermObstruction,
     RankObstruction,
     catalysis_verdict,
+    splitting_bound,
 )
 from loccsim.errors import CapExceeded, ConstraintViolation, WrongArity
 from loccsim.invariants import (
@@ -30,11 +31,12 @@ from loccsim.invariants import (
     slocc_class,
     three_tangle,
 )
-from loccsim.prebuilt import bipartite_catalysis_pair, tripartite_catalysis_pair
+from loccsim.prebuilt import bipartite_catalysis_pair, prop3, tripartite_catalysis_pair
 from loccsim.states import (
     PureState,
     Register,
     _rank,
+    _sig12,
     apply_site_ops,
     computational,
     epr,
@@ -647,7 +649,7 @@ def test_ghz_class_catalysts_have_proven_counts(delta, phi, angles):
 
 def test_probe_wall_time_reported_not_compared():
     probe = cp_rank_probe(PartyTensor.from_state(ghz(ABC)), 2)
-    assert probe.to_dict()["wall_s"] == probe.wall_s > 0
+    assert probe.to_dict()["wall_s"] == _sig12(probe.wall_s) > 0
     assert dataclasses.replace(probe, wall_s=probe.wall_s + 1.0) == probe
 
 
@@ -712,6 +714,27 @@ def test_report_documents_keep_their_keys_and_json():
         assert doc == json.loads(text)
 
 
+def test_record_reports_round_floats_to_12_digits():
+    # one record of each kind, computed, with floats that carry more digits
+    quick = ProbeConfig(restarts=4, max_iters=20, fit_tol=1e-8 / 3)
+    records = [
+        quick,
+        cp_rank_probe(PartyTensor.from_state(w_state(ABC)), 2, quick),
+        product_term_estimate(PartyTensor.from_state(ghz(ABC))),
+        slocc_class(ghz_class(0.7, 1.1, 0.5, 0.9, 1.2, ABC)),
+        splitting_bound(w_family(0.3, 0.2, 0.4, 0.1, ABC), ghz(ABC)),
+        catalysis_verdict(*bipartite_catalysis_pair()),
+        catalysis_verdict(ghz(ABC), w_state(ABC)),
+        prop3(1 / 3 + 0.01).run(),
+    ]
+    for record in records:
+        floats = []
+        json.loads(json.dumps(record.to_dict()), parse_float=lambda text: floats.append(float(text)))
+        assert [x for x in floats if x != _sig12(x)] == [], type(record).__name__
+    tangle = records[3].tangle  # a generic GHZ-class tangle, as computed
+    assert tangle != _sig12(tangle)
+
+
 @pytest.mark.parametrize(
     "field, value, match",
     [
@@ -724,6 +747,13 @@ def test_report_documents_keep_their_keys_and_json():
             ("fit_tol", -1e-8, "fit_tol"),
             ("fit_tol", 0.0, "fit_tol"),
             ("fit_tol", float("inf"), "fit_tol"),
+            ("max_iters", 0, "sweep"),
+            ("max_iters", -5, "sweep"),
+            ("max_iters", 2.5, "integer"),
+            ("restarts", 1.5, "integer"),
+            ("restarts", "3", "integer"),
+            ("restarts", True, "integer"),
+            ("seed", 1.5, "integer"),
         ]
     ],
 )

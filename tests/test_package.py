@@ -63,6 +63,24 @@ def test_no_unreferenced_private_names():
     assert not unreferenced, unreferenced
 
 
+def test_reports_have_one_rule():
+    # report data comes from states._doc alone: it is the one caller of the
+    # rounding rule, and only the record mixin and the branch tree, whose
+    # report leaves out its states, define to_dict
+    rounding, to_dict = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                methods = {m.name for m in node.body if isinstance(m, ast.FunctionDef)}
+                if "to_dict" in methods:
+                    to_dict.append(node.name)
+            elif "_sig12" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                rounding.append(path.name)
+    assert set(rounding) == {"states.py"}
+    assert sorted(to_dict) == ["BranchNode", "_Report"]
+
+
 def test_readme_paths_exist():
     # a deleted script or golden file must not stay named in the README
     text = (ROOT / "README.md").read_text()

@@ -279,15 +279,15 @@ def walk(node, visit):
 
 
 def test_tree_probability_conservation():
-    result = prop3(0.4).run()
-    assert result.root.prob == pytest.approx(1.0, abs=1e-12)
+    root = prop3(0.4).run()
+    assert root.prob == pytest.approx(1.0, abs=1e-12)
 
     def check(node):
         if node.children:
             total = sum(c.prob for c in node.children)
             assert total == pytest.approx(node.prob, abs=1e-9)
 
-    walk(result.root, check)
+    walk(root, check)
 
 
 def test_tree_outcome_ordering():
@@ -573,7 +573,7 @@ def test_prop3_probability_matches_bound_family(a):
 
 
 def test_branch_tree_serialization():
-    doc = prop3(0.4).run().root.to_dict()
+    doc = prop3(0.4).run().to_dict()
     assert doc["prob"] == pytest.approx(1.0)
     assert doc["success"] is None
     kids = {c["record"]: c for c in doc["children"]}

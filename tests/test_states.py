@@ -354,6 +354,19 @@ def test_state_roundtrip_through_json(tmp_path):
     assert np.array_equal(back.amplitudes, s.amplitudes)
 
 
+@pytest.mark.parametrize(
+    "label, party",
+    [(1.7, "A"), (1.0, "A"), (True, "A"), ("1", "A"), (None, "A"), (1, 7), (1, None), (1, ["A"])],
+)
+def test_state_from_dict_rejects_coerced_sites(label, party):
+    # a label that is not an integer or a party that is not a string is an
+    # error, not read as int(label) or str(party)
+    doc = state_to_dict(ghz(ABC))
+    doc["sites"][0] = {"label": label, "party": party}
+    with pytest.raises(ConstraintViolation, match="must be an integer and a string"):
+        state_from_dict(doc)
+
+
 def test_state_from_dict_malformed():
     with pytest.raises(ConstraintViolation):
         state_from_dict({"sites": [{"label": 1}], "amplitudes": [[1, 0], [0, 0]]})
