@@ -22,6 +22,8 @@ from .errors import CapExceeded, ConstraintViolation, WrongArity
 from .states import NORM_TOL, RANK_TOL, PureState, _cut, _rank, _Report
 
 CLASS_TOL = 1e-8
+# a fit whose residual is below FIT_TOL converged: it proves at most its rank
+FIT_TOL = 1e-8
 
 # stall rule for the ALS loop: a restart has stalled once its best residual
 # stops improving, absolutely or relative to its current size, over the last
@@ -81,15 +83,13 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
 
 def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
-    """Numeric rank of each single-party matricization.
+    """Numeric rank of each single-party matricization: its singular values
+    through the one rank rule, ``states._rank``.
 
     The squared singular values are the eigenvalues of the corresponding
-    single-party reduced density matrix, and they go through the one rank
-    rule, ``states._rank``.
+    single-party reduced density matrix.
     """
-    return tuple(
-        _rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False) ** 2) for m in range(t.data.ndim)
-    )
+    return tuple(_rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False)) for m in range(t.data.ndim))
 
 
 def three_tangle(s: PureState) -> float:
@@ -155,7 +155,6 @@ def slocc_class(s: PureState) -> SloccClass:
 class ProbeConfig(_Report):
     restarts: int = 32
     max_iters: int = 2000
-    fit_tol: float = 1e-8
     seed: int = 0x5EED
 
     def __post_init__(self):
@@ -169,14 +168,11 @@ class ProbeConfig(_Report):
             raise ConstraintViolation(f"a probe needs at least one restart, got {self.restarts}")
         if self.max_iters < 1:
             raise ConstraintViolation(f"a probe needs at least one sweep, got max_iters {self.max_iters}")
-        # written so that NaN fails the check too: such a fit never converges
-        if not 0 < self.fit_tol < np.inf:
-            raise ConstraintViolation(f"probe fit_tol must be finite and positive, got {self.fit_tol!r}")
 
 
 @dataclass(frozen=True)
 class RankProbeResult(_Report):
-    """One probed rank.  ``converged`` is ``best_residual < fit_tol``, read
+    """One probed rank.  ``converged`` is ``best_residual < FIT_TOL``, read
     apart from ``stop_reason``, so a probe that stopped at the ``"cap"`` can
     report it converged."""
 
@@ -207,7 +203,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
 
     The restarts sweep together until the first of three stop rules holds:
 
-    - ``"converged"``: the best restart's residual is below ``fit_tol`` and
+    - ``"converged"``: the best restart's residual is below ``FIT_TOL`` and
       that restart has stalled;
     - ``"stalled"``: every restart has stalled;
     - ``"cap"``: ``max_iters`` sweeps have run.
@@ -275,7 +271,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
         if len(history) > _STALL_WINDOW:
             stalled = history[0] - best < np.maximum(_STALL_ABS, _STALL_REL * best)
             lead = int(np.argmin(best))
-            if best[lead] < cfg.fit_tol and stalled[lead]:
+            if best[lead] < FIT_TOL and stalled[lead]:
                 stop_reason = "converged"
                 break
             if np.all(stalled):
@@ -285,7 +281,7 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     return RankProbeResult(
         tested_rank=r,
         best_residual=best_residual,
-        converged=best_residual < cfg.fit_tol,
+        converged=best_residual < FIT_TOL,
         restarts=cfg.restarts,
         seed=cfg.seed,
         config=cfg,
@@ -319,13 +315,6 @@ def _normals(rng: np.random.Generator, *shape: int) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def _matrix_rank(a: np.ndarray, scale: float = 0.0) -> int:
-    # rank through states._rank; against a scale (a bound on its largest
-    # singular value), a vanishing matrix has rank 0
-    weights = np.linalg.svd(a, compute_uv=False) ** 2
-    return _rank(np.append(weights, scale**2)) - 1 if scale else _rank(weights)
-
-
 def _normalized_slices(t: PartyTensor, axis: int):
     """``(X, M, g, rng)``: the slices Tᵢ of ``t`` along ``axis`` as Mᵢ = X⁻¹Tᵢ,
     where X = Σ αᵢTᵢ is the best-conditioned of four drawn combinations, and
@@ -335,7 +324,7 @@ def _normalized_slices(t: PartyTensor, axis: int):
     xs = np.tensordot(_normals(rng, 4, len(ts)), ts, axes=1)
     sv = np.linalg.svd(xs, compute_uv=False)
     best = np.argmax(sv[:, -1] / sv[:, 0])
-    if _rank(sv[best] ** 2) < len(sv[best]):
+    if _rank(sv[best]) < len(sv[best]):
         return None
     ms = np.linalg.solve(xs[best], ts)
     return xs[best], ms, np.tensordot(_normals(rng, len(ms)), ms, axes=1), rng
@@ -356,11 +345,11 @@ def _eigen_structure(g: np.ndarray) -> list[tuple[complex, int, int]] | None:
     for grp in groups:
         lam, size, basis, ranks = np.mean(grp), len(grp), np.eye(n), [n]
         while len(ranks) <= size and ranks[-1] > n - size:
-            image = (g - lam * np.eye(n)) @ basis
-            ranks.append(_matrix_rank(image, scale))
-            if _matrix_rank(image, 1e-4 * scale) != ranks[-1]:
+            u, sv, _ = np.linalg.svd((g - lam * np.eye(n)) @ basis)
+            ranks.append(_rank(sv, scale))
+            if _rank(sv, 1e-4 * scale) != ranks[-1]:
                 return None
-            basis = np.linalg.svd(image)[0][:, : ranks[-1]]
+            basis = u[:, : ranks[-1]]
         if ranks[-1] != n - size:
             return None  # the group is not one eigenvalue
         structure.append((lam, size, ranks[1] - ranks[2] if len(ranks) > 2 else 0))
@@ -394,12 +383,13 @@ def _proof(t: PartyTensor) -> tuple[int, str, tuple | None]:
         n = len(ms[0])
         if len(ms) == 2:
             rules.insert(0, (n + max(longer for *_, longer in structure), "pencil"))
-        if len(ms) == n and _matrix_rank(ms @ _normals(rng, n)) == n:  # a cyclic vector
+        if len(ms) == n and _rank(np.linalg.svd(ms @ _normals(rng, n), compute_uv=False)) == n:  # a cyclic vector
             ms = ms / np.linalg.norm(ms, axis=(1, 2), keepdims=True)
             products = ms[:, None] @ ms[None]  # (i, j) -> Mᵢ Mⱼ
             commutators = (products - products.transpose(1, 0, 2, 3)).reshape(n * n, -1)
             span = np.concatenate([ms, products.reshape(n * n, n, n)]).reshape(n + n * n, -1)
-            if _matrix_rank(commutators, 2.0) == 0 and _matrix_rank(span) <= n:
+            commuting = _rank(np.linalg.svd(commutators, compute_uv=False), 2.0) == 0
+            if commuting and _rank(np.linalg.svd(span, compute_uv=False)) <= n:
                 rules.insert(-1, (2 * n - len(structure), "alder-strassen"))
     return (*max(rules, key=lambda rule: rule[0]), analysis)
 
@@ -419,13 +409,16 @@ def _local_algebra_fit(b: np.ndarray, rng: np.random.Generator) -> np.ndarray | 
     into the point 0), and a drawn cyclic vector w, Φ: Z ↦ Zw, maps the terms."""
     k, size = b.shape[:2]
     nil = (b - np.trace(b, axis1=1, axis2=2)[:, None, None] / size * np.eye(size)).reshape(k, -1)
-    if size < 3 or _matrix_rank(nil, np.linalg.norm(b)) != size - 1:
+    if size < 3:
         return None
-    basis = np.linalg.svd(nil)[2][: size - 1].reshape(-1, size, size)
+    _, sv, basis = np.linalg.svd(nil)
+    if _rank(sv, np.linalg.norm(b)) != size - 1:
+        return None
+    basis = basis[: size - 1].reshape(-1, size, size)
     products = (basis[:, None] @ basis[None]).reshape((size - 1) ** 2, -1)  # unit factors: norms <= 1
     coef, sv, square = np.linalg.svd(products)
     form = (coef[:, 0] * sv[0]).reshape(size - 1, size - 1)  # N² = ⟨s⟩, s the first row of square
-    if _matrix_rank(products, 1.0) != 1 or _matrix_rank(form) != size - 2:
+    if _rank(sv, 1.0) != 1 or _rank(np.linalg.svd(form, compute_uv=False)) != size - 2:
         return None
     c = _normals(rng, size - 2, size - 1)
     for j in range(size - 2):  # Gram-Schmidt under B
@@ -451,7 +444,7 @@ def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> 
     its g, each block ``_local_algebra_fit``'s where that applies, else a
     scalar (its size in terms) plus a nilpotent part (the ranks of its
     principal components); None where that has other than ``rank`` terms or
-    fits no better than ``fit_tol``.  It meets the bound on unit tensors,
+    fits no better than ``FIT_TOL``.  It meets the bound on unit tensors,
     pencils with one defective eigenvalue and Jordan blocks at most 2 long,
     and algebras whose local factors have dimension 1 or 2 or a radical N
     with N³ = 0 and N² = ⟨s⟩ (as W⊗W's), so no bundled count runs ALS."""
@@ -472,13 +465,13 @@ def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> 
         terms += size  # the scalar part
         nilpotent = (blocks[part] - fit[part]).reshape(len(ms), -1)
         coef, sv, mats = np.linalg.svd(nilpotent, full_matrices=False)
-        for q in range(_matrix_rank(nilpotent, np.linalg.norm(blocks))):
+        for q in range(_rank(sv, np.linalg.norm(blocks))):
             left, s, right = np.linalg.svd(mats[q].reshape(size, size))
-            k = _rank(s**2)
+            k = _rank(s)
             fit[part] += sv[q] * coef[:, q, None, None] * ((left[:, :k] * s[:k]) @ right[:k])
             terms += k
     residual = float(np.linalg.norm(np.moveaxis(t.data, axis, 0) - x @ u @ fit @ np.linalg.inv(u)))
-    if terms != rank or not residual < cfg.fit_tol:
+    if terms != rank or not residual < FIT_TOL:
         return None
     return RankProbeResult(rank, residual, True, 0, cfg.seed, cfg, "exact", 0, time.perf_counter() - start)
 

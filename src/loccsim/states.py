@@ -35,14 +35,19 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class Register:
-    """Ordered qubit sites with a party label per site."""
+    """Ordered qubit sites with a party label per site: an integer site
+    label (not a bool) and a string party."""
 
     sites: tuple[int, ...]
     parties: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
-        object.__setattr__(self, "parties", tuple(str(p) for p in self.parties))
+        for site, party in zip(self.sites, self.parties):
+            if isinstance(site, bool) or not isinstance(site, (int, np.integer)) or not isinstance(party, str):
+                raise ConstraintViolation(f"site label {site!r} and party {party!r} must be an integer and a string")
+        # numpy integers and strings become plain ones
+        object.__setattr__(self, "sites", tuple(map(int, self.sites)))
+        object.__setattr__(self, "parties", tuple(map(str, self.parties)))
         if len(self.sites) == 0:
             raise ConstraintViolation("register needs at least one site")
         if len(self.sites) != len(self.parties):
@@ -183,14 +188,15 @@ class DensityMatrix:
         object.__setattr__(self, "sites", tuple(self.sites))
 
 
-def _rank(weights: np.ndarray) -> int:
-    """The one rank rule: the number of ``weights`` (eigenvalues or squared
-    singular values) above ``RANK_TOL`` times the largest one; 0 when none is
-    positive."""
-    top = np.max(weights)
+def _rank(sv: np.ndarray, scale: float = 0.0) -> int:
+    """The one rank rule: the number of singular values ``sv`` whose squares
+    exceed ``RANK_TOL`` times the square of ``max(scale, largest)``; 0 when
+    that is not positive.  ``scale`` bounds the largest singular value, so
+    against it a vanishing matrix has rank 0."""
+    top = max(scale, np.max(sv)) ** 2
     if not top > 0:
         return 0
-    return int(np.sum(weights > RANK_TOL * top))
+    return int(np.sum(sv**2 > RANK_TOL * top))
 
 
 # ---------------------------------------------------------------------------
@@ -400,20 +406,19 @@ def state_to_dict(s: PureState) -> dict:
 
 
 def state_from_dict(d: Mapping) -> PureState:
-    """The state a document describes; site labels must be integers and
-    parties strings, as ``state_to_dict`` writes them."""
+    """The state a document describes; site labels must be integers, parties
+    strings and amplitude parts real numbers, as ``state_to_dict`` writes them."""
     try:
-        sites = [(row["label"], row["party"]) for row in d["sites"]]
-        amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-    except (KeyError, TypeError, ValueError) as exc:
+        register = Register.of([(row["label"], row["party"]) for row in d["sites"]])
+        amps = []
+        for re, im in d["amplitudes"]:
+            for part in (re, im):
+                if isinstance(part, bool) or not isinstance(part, (int, float)):
+                    raise TypeError(f"amplitude part {part!r} is not a real number")
+            amps.append(complex(re, im))
+    except (KeyError, TypeError, ValueError, OverflowError, ConstraintViolation) as exc:
         raise ConstraintViolation(f"malformed state document: {exc}") from exc
-    for label, party in sites:
-        if type(label) is not int or not isinstance(party, str):
-            raise ConstraintViolation(
-                f"malformed state document: site label {label!r} and party {party!r} "
-                "must be an integer and a string"
-            )
-    return PureState(Register.of(sites), amps)
+    return PureState(register, np.array(amps))
 
 
 def save_state(s: PureState, path) -> None:

@@ -190,6 +190,22 @@ def test_classify_rejects_a_party_that_is_not_a_string(tmp_path, capsys):
     assert captured.err.startswith("error: malformed state document") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "part", [[True, False], [1.0, False], ["1", 0.0], [10**400, 0.0]], ids=["bools", "bool", "string", "huge-int"]
+)
+def test_classify_rejects_an_amplitude_part_that_is_not_a_real_number(tmp_path, capsys, part):
+    # with real parts, [1.0, 0.0] here would make a valid product state
+    path = tmp_path / "amplitude.json"
+    save_state(computational(ABC, "000"), path)
+    doc = json.loads(path.read_text())
+    doc["amplitudes"][0] = part
+    path.write_text(json.dumps(doc))
+    assert main(["classify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed state document") and captured.err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # edge inputs: tiny states held by one, two and three parties
 

@@ -171,11 +171,12 @@ def test_flattening_ranks_match_reduced_densities():
     src, dst = bipartite_catalysis_pair()
     for s in (src, dst):
         ranks = flattening_ranks(PartyTensor.from_state(s))
-        direct = tuple(
-            _rank(np.linalg.eigvalsh(reduced_density_sites(s, s.register.sites_of([p])).matrix))
-            for p in ("A", "B", "C")
-        )
-        assert ranks == direct == (2, 4, 4)
+        # the singular values are the square roots of a reduced density's eigenvalues
+        direct = []
+        for p in ("A", "B", "C"):
+            eigenvalues = np.linalg.eigvalsh(reduced_density_sites(s, s.register.sites_of([p])).matrix)
+            direct.append(_rank(np.sqrt(np.clip(eigenvalues, 0, None))))
+        assert ranks == tuple(direct) == (2, 4, 4)
 
 
 def test_flattening_ranks_product_state():
@@ -364,11 +365,12 @@ def _recording_probe(monkeypatch) -> list[int]:
     return called
 
 
-def test_estimate_leaves_no_process():
+def test_estimate_leaves_no_process(monkeypatch):
     # every fit runs in this process, also on a scan that ends in CapExceeded
     product_term_estimate(PENCIL)
+    monkeypatch.setattr(invariants, "FIT_TOL", 1e-30)
     with pytest.raises(CapExceeded, match="up to rank 8"):
-        product_term_estimate(PartyTensor.from_state(ghz(ABC)), ProbeConfig(max_iters=50, fit_tol=1e-30))
+        product_term_estimate(PartyTensor.from_state(ghz(ABC)), ProbeConfig(max_iters=50))
     assert multiprocessing.active_children() == []
 
 
@@ -391,9 +393,9 @@ def test_estimate_calls_a_replaced_probe_in_process(monkeypatch):
 
 def test_estimate_falls_back_to_als_when_the_exact_fit_misses_fit_tol(monkeypatch):
     called = _recording_probe(monkeypatch)
-    strict = ProbeConfig(max_iters=50, fit_tol=1e-30)
+    monkeypatch.setattr(invariants, "FIT_TOL", 1e-30)
     with pytest.raises(CapExceeded):
-        product_term_estimate(PartyTensor.from_state(ghz(ABC)), strict)
+        product_term_estimate(PartyTensor.from_state(ghz(ABC)), ProbeConfig(max_iters=50))
     # the scan runs on to the number of tensor entries
     assert called == [2, 3, 4, 5, 6, 7, 8]
 
@@ -444,7 +446,7 @@ def test_w_w_keeps_its_exact_entry_under_invertible_local_maps(monkeypatch):
         est = product_term_estimate(PartyTensor(base.parties, base.shape, v / np.linalg.norm(v)))
         exact = est.probes[-1]
         assert (est.terms, exact.tested_rank, exact.stop_reason) == (7, 7, "exact")
-        assert exact.best_residual < exact.config.fit_tol
+        assert exact.best_residual < invariants.FIT_TOL
     assert called == []
 
 
@@ -586,6 +588,32 @@ def test_a_scan_decides_its_slice_analysis_once(state, monkeypatch):
     assert calls == {"_normalized_slices": 1, "_eigen_structure": 1, "flattening_ranks": 1}
 
 
+def test_the_bundled_verdicts_decompose_each_matrix_once(monkeypatch):
+    # a rank is read from the SVD that also gives the vectors the next step
+    # uses, so no matrix is decomposed twice for its rank
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for source, target in (bipartite_catalysis_pair(), tripartite_catalysis_pair("w"), tripartite_catalysis_pair("ghz")):
+        catalysis_verdict(source, target)
+    assert len(calls) <= 97
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.05, 0.03, 0.01])
+def test_near_w_ghz_class_states_stay_undetermined_against_ghz(theta):
+    # GHZ class for every theta > 0, with two product terms as GHZ has; the
+    # ranks read here keep singular values down to 2.5e-5 of the largest,
+    # against a cut at 1e-5
+    verdict = catalysis_verdict(ghz_class(np.pi / 4, 0, theta, theta, theta, ABC), ghz(ABC))
+    assert verdict.feasible == "undetermined"
+    assert [(row.source_rank, row.target_rank) for row in verdict.party_ranks] == [(2, 2)] * 3
+
+
 @pytest.mark.parametrize(
     "pair",
     [bipartite_catalysis_pair, lambda: tripartite_catalysis_pair("w"), lambda: tripartite_catalysis_pair("ghz")],
@@ -662,9 +690,9 @@ def test_estimate_serialization():
 def test_report_documents_keep_their_keys_and_json():
     # each document lists its fields in declaration order, as plain JSON
     # values (lists, not tuples), and dumps to these exact strings
-    cfg = ProbeConfig(restarts=4, max_iters=300, fit_tol=1e-6, seed=7)
+    cfg = ProbeConfig(restarts=4, max_iters=300, seed=7)
     probe = RankProbeResult(3, 2.5e-12, True, 4, 7, cfg, "converged", 120, wall_s=0.125)
-    cfg_json = '{"restarts": 4, "max_iters": 300, "fit_tol": 1e-06, "seed": 7}'
+    cfg_json = '{"restarts": 4, "max_iters": 300, "seed": 7}'
     rows = (PartyRank("A", 2, 2), PartyRank("B", 4, 4))
     rows_json = (
         '[{"party": "A", "source_rank": 2, "target_rank": 2}, '
@@ -716,7 +744,7 @@ def test_report_documents_keep_their_keys_and_json():
 
 def test_record_reports_round_floats_to_12_digits():
     # one record of each kind, computed, with floats that carry more digits
-    quick = ProbeConfig(restarts=4, max_iters=20, fit_tol=1e-8 / 3)
+    quick = ProbeConfig(restarts=4, max_iters=20)
     records = [
         quick,
         cp_rank_probe(PartyTensor.from_state(w_state(ABC)), 2, quick),
@@ -743,10 +771,6 @@ def test_record_reports_round_floats_to_12_digits():
             ("seed", -1, "non-negative"),
             ("restarts", 0, "restart"),
             ("restarts", -2, "restart"),
-            ("fit_tol", float("nan"), "fit_tol"),
-            ("fit_tol", -1e-8, "fit_tol"),
-            ("fit_tol", 0.0, "fit_tol"),
-            ("fit_tol", float("inf"), "fit_tol"),
             ("max_iters", 0, "sweep"),
             ("max_iters", -5, "sweep"),
             ("max_iters", 2.5, "integer"),

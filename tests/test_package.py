@@ -81,6 +81,25 @@ def test_reports_have_one_rule():
     assert sorted(to_dict) == ["BranchNode", "_Report"]
 
 
+def test_ranks_have_one_rule():
+    # every rank is decided by states._rank: it alone compares against
+    # RANK_TOL, which SloccClass only reports, and invariants keeps no rank
+    # helper of its own
+    readers, helpers = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if "RANK_TOL" in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    if not isinstance(node.ctx, ast.Store):
+                        readers.append(f"{path.name}:{getattr(top, 'name', '<module>')}")
+                elif path.name == "invariants.py" and isinstance(node, ast.FunctionDef):
+                    if node.name.startswith("_") and "rank" in node.name:
+                        helpers.append(node.name)
+    assert sorted(readers) == ["invariants.py:SloccClass", "states.py:_rank"]
+    assert helpers == []
+
+
 def test_readme_paths_exist():
     # a deleted script or golden file must not stay named in the README
     text = (ROOT / "README.md").read_text()

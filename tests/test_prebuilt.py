@@ -45,8 +45,8 @@ def test_bipartite_pair_layout():
         assert s.register.sites == (1, 2, 3, 4, 5)
         assert s.register.parties == ("A", "B", "C", "B", "C")
     # default catalyst is a balanced pair shared between B and C
-    assert _rank(schmidt(src, ["A"])) == 2
-    assert _rank(schmidt(dst, ["A"])) == 2
+    assert _rank(np.sqrt(schmidt(src, ["A"]))) == 2
+    assert _rank(np.sqrt(schmidt(dst, ["A"]))) == 2
 
 
 def test_bipartite_pair_weights():

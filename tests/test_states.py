@@ -12,6 +12,7 @@ from loccsim.errors import (
     WrongArity,
 )
 from loccsim.states import (
+    RANK_TOL,
     DensityMatrix,
     PureState,
     Register,
@@ -56,6 +57,22 @@ def test_register_for_parties():
     reg = Register.for_parties("A", "B", "C", start=4)
     assert reg.sites == (4, 5, 6)
     assert reg.parties == ("A", "B", "C")
+
+
+@pytest.mark.parametrize(
+    "sites, parties",
+    [((1.7, 2), ("A", "B")), ((True, 2), ("A", "B")), ((1, 2), ("A", 3))],
+    ids=["float-site", "bool-site", "int-party"],
+)
+def test_register_rejects_what_it_would_coerce(sites, parties):
+    # not read as int(site) or str(party)
+    with pytest.raises(ConstraintViolation, match="must be an integer and a string"):
+        Register(sites, parties)
+
+
+def test_register_reads_numpy_integers_as_ints():
+    reg = Register(tuple(np.arange(1, 3)), ("A", "B"))
+    assert reg.sites == (1, 2) and all(type(site) is int for site in reg.sites)
 
 
 def test_register_validation():
@@ -228,7 +245,7 @@ def test_reduced_density_multisite():
     assert rho.sites == (2, 4)
     assert rho.parties == ("B",)
     assert rho.matrix.shape == (4, 4)
-    assert _rank(np.linalg.eigvalsh(rho.matrix)) == 4
+    assert _rank(np.sqrt(np.clip(np.linalg.eigvalsh(rho.matrix), 0, None))) == 4
 
 
 def test_reduced_density_errors():
@@ -242,9 +259,46 @@ def test_reduced_density_errors():
 
 
 def test_numeric_rank_thresholding():
-    # the one rank rule: a weight at most 1e-10 times the largest counts as zero
+    # the one rank rule: a singular value whose square is at most 1e-10 times
+    # the largest one's counts as zero
     assert _rank(np.array([0.7, 0.3 - 1e-13, 1e-13, 0.0])) == 2
     assert _rank(np.zeros(4)) == 0
+
+
+def _squared_weight_rank(sv, scale=0.0):
+    # the rule as it read squared weights: scale**2 appended as one more
+    # weight, which then counts itself, and taken off again
+    weights = sv**2
+    if scale:
+        weights = np.append(weights, scale**2)
+    top = np.max(weights)
+    rank = int(np.sum(weights > RANK_TOL * top)) if top > 0 else 0
+    return rank - 1 if scale else rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    rank=st.integers(0, 6),
+    decay=st.floats(0.0, 8.0),
+    magnitude=st.floats(-6.0, 6.0),
+    scale=st.just(0.0) | st.floats(0.5, 1e3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rank_matches_the_squared_weight_rule(rows, cols, rank, decay, magnitude, scale, seed):
+    # complex matrices of rank up to `rank`, vanishing ones included, whose
+    # singular values fall by up to 1e8 each, so some sit near the cut; a
+    # scale bounds the largest singular value (a vanishing matrix gets its own)
+    rng = np.random.default_rng(seed)
+    k = min(rank, rows, cols)
+    normals = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    a = 10.0**magnitude * (normals(rows, k) * 10.0 ** (-decay * np.arange(k))) @ normals(k, cols)
+    sv = np.linalg.svd(a, compute_uv=False)
+    scale *= np.max(sv) or 1.0
+    assert _rank(sv, scale) == _squared_weight_rank(sv, scale)
+    if not k:
+        assert _rank(sv) == _rank(sv, scale) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +326,7 @@ def test_schmidt_reconstruction():
 def test_schmidt_rank_symmetry():
     rng = np.random.default_rng(5)
     s = random_state(rng, ABC)
-    assert _rank(schmidt(s, ["A"])) == _rank(schmidt(s, ["B", "C"]))
+    assert _rank(np.sqrt(schmidt(s, ["A"]))) == _rank(np.sqrt(schmidt(s, ["B", "C"])))
 
 
 def test_schmidt_errors():
