@@ -172,16 +172,14 @@ class ProbeConfig(_Report):
 
 @dataclass(frozen=True)
 class RankProbeResult(_Report):
-    """One probed rank.  ``converged`` is ``best_residual < FIT_TOL``, read
-    apart from ``stop_reason``, so a probe that stopped at the ``"cap"`` can
-    report it converged."""
+    """One entry of a rank scan.  ``converged`` is ``best_residual < FIT_TOL``,
+    and an ALS entry's ``stop_reason`` reads ``"converged"`` exactly when it
+    holds; ``config`` is the probe's, None where no ALS ran."""
 
     tested_rank: int
     best_residual: float
     converged: bool
-    restarts: int
-    seed: int
-    config: ProbeConfig
+    config: ProbeConfig | None
     # "converged" | "stalled" | "cap" from cp_rank_probe; "excluded" or "exact",
     # with no ALS, from product_term_estimate
     stop_reason: str
@@ -190,23 +188,22 @@ class RankProbeResult(_Report):
 
 
 def _khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
-    # mats: (d_i, R, r) each; columnwise Kronecker per restart with the first
-    # factor slowest, as one (prod d_i, R, r) array
+    # mats: (R, r, d_i) each; columnwise Kronecker per restart with the first
+    # factor slowest, as one (R, r, prod d_i) array
     out = mats[0]
     for m in mats[1:]:
-        out = (out[:, None] * m[None]).reshape(-1, *m.shape[1:])
+        out = (out[..., None] * m[:, :, None]).reshape(*m.shape[:2], -1)
     return out
 
 
 def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> RankProbeResult:
     """Best rank-``r`` CP fit over seeded restarts, run in lockstep.
 
-    The restarts sweep together until the first of three stop rules holds:
-
-    - ``"converged"``: the best restart's residual is below ``FIT_TOL`` and
-      that restart has stalled;
-    - ``"stalled"``: every restart has stalled;
-    - ``"cap"``: ``max_iters`` sweeps have run.
+    The restarts sweep together until the best restart has stalled with its
+    residual below ``FIT_TOL``, every restart has stalled, or ``max_iters``
+    sweeps have run.  ``stop_reason`` is ``"converged"`` when the best
+    residual is below ``FIT_TOL``, however the sweeps stopped, else
+    ``"stalled"`` or ``"cap"``.
 
     A restart has stalled when its best residual gained less than
     ``max(_STALL_ABS, _STALL_REL * best)`` over the last ``_STALL_WINDOW``
@@ -223,25 +220,19 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     start = time.perf_counter()
     cfg = config or ProbeConfig()
     data = t.data
-    dims = data.shape
-    n = len(dims)
+    n = data.ndim
     nrest = cfg.restarts
     rng = np.random.default_rng(cfg.seed)
     cap = max(t.size, r)
-    # factor m is kept restart-major, shape (d_m, R, r), so the Khatri-Rao
-    # product of the other factors is one (P, R*r) matrix and each MTTKRP is
-    # a single GEMM; `solved[m]` is the same factor as the (R, r, d_m) array
-    # the normal equations return
-    solved = []
-    for d in dims:
-        re = rng.standard_normal((nrest, d, cap))
-        im = rng.standard_normal((nrest, d, cap))
-        solved.append(np.ascontiguousarray(((re + 1j * im) / np.sqrt(2))[:, :, :r]).transpose(0, 2, 1))
-    factors = [np.ascontiguousarray(f.transpose(2, 0, 1)) for f in solved]
+    # factor m is the (R, r, d_m) array the normal equations take and return,
+    # so the Khatri-Rao product of the other factors is one (R*r, P) matrix
+    # and each MTTKRP is a single GEMM
+    draws = [rng.standard_normal((2, nrest, d, cap))[..., :r] for d in data.shape]
+    factors = [((re + 1j * im) / np.sqrt(2)).transpose(0, 2, 1) for re, im in draws]
     others = [[o for o in range(n) if o != m] for m in range(n)]
     unfolds_conj = [_unfold(data, m).conj() for m in range(n)]
     target = _unfold(data, n - 1)[None]
-    grams = [f.conj() @ f.transpose(0, 2, 1) for f in solved]
+    grams = [f.conj() @ f.transpose(0, 2, 1) for f in factors]
 
     best = np.full(nrest, np.inf)
     history: deque[np.ndarray] = deque(maxlen=_STALL_WINDOW + 1)
@@ -255,40 +246,28 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
             gram = grams[first].copy()
             for o in rest:
                 gram *= grams[o]
-            # conj(conj(U) @ kr) == U @ conj(kr), without conjugating the larger kr
-            mttkrp = (unfolds_conj[m] @ kr.reshape(kr.shape[0], -1)).conj()
+            # conj(kr @ conj(U)ᵀ) == conj(kr) @ Uᵀ, without conjugating the larger kr
+            mttkrp = (kr.reshape(nrest * r, -1) @ unfolds_conj[m].T).conj()
             # ridge added in place on the diagonal (a strided view of gram)
             gram.reshape(nrest, -1)[:, :: r + 1] += _RIDGE * np.einsum("rkk->r", gram).real[:, None] / r + 1e-30
-            # normal equations: F conj(G) = M, i.e. G F^T = M^T since G is Hermitian
-            rhs = np.ascontiguousarray(mttkrp.reshape(-1, nrest, r).transpose(1, 2, 0))
-            solved[m] = np.linalg.solve(gram, rhs)
-            factors[m] = np.ascontiguousarray(solved[m].transpose(2, 0, 1))
-            grams[m] = solved[m].conj() @ solved[m].transpose(0, 2, 1)
-        recon = solved[n - 1].transpose(0, 2, 1) @ kr.transpose(1, 2, 0)
+            # normal equations: F conj(G) = M for the (d_m, r) factor F, i.e.
+            # G Fᵀ = Mᵀ since G is Hermitian; factors[m] holds Fᵀ
+            factors[m] = np.linalg.solve(gram, mttkrp.reshape(nrest, r, -1))
+            grams[m] = factors[m].conj() @ factors[m].transpose(0, 2, 1)
+        recon = factors[n - 1].transpose(0, 2, 1) @ kr
         res = np.linalg.norm((recon - target).reshape(nrest, -1), axis=1)
         best = np.minimum(best, res)
         history.append(best)
         if len(history) > _STALL_WINDOW:
             stalled = history[0] - best < np.maximum(_STALL_ABS, _STALL_REL * best)
             lead = int(np.argmin(best))
-            if best[lead] < FIT_TOL and stalled[lead]:
-                stop_reason = "converged"
-                break
-            if np.all(stalled):
-                stop_reason = "stalled"
+            if best[lead] < FIT_TOL and stalled[lead] or np.all(stalled):
+                stop_reason = "stalled"  # read "converged" below where the fit is
                 break
     best_residual = float(best.min())
-    return RankProbeResult(
-        tested_rank=r,
-        best_residual=best_residual,
-        converged=best_residual < FIT_TOL,
-        restarts=cfg.restarts,
-        seed=cfg.seed,
-        config=cfg,
-        stop_reason=stop_reason,
-        sweeps=sweeps,
-        wall_s=time.perf_counter() - start,
-    )
+    converged = best_residual < FIT_TOL
+    stop_reason = "converged" if converged else stop_reason
+    return RankProbeResult(r, best_residual, converged, cfg, stop_reason, sweeps, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -438,7 +417,7 @@ def _local_algebra_fit(b: np.ndarray, rng: np.random.Generator) -> np.ndarray | 
     return phi @ out @ ((f @ inv @ (b @ w).T).T[:, :, None] * (f @ inv))
 
 
-def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> RankProbeResult | None:
+def _exact_fit(t: PartyTensor, rank: int, analysis: tuple) -> RankProbeResult | None:
     """The ``"exact"`` entry for ``rank`` from the slice analysis a bound rule
     proved it with: the decomposition read off the generalized eigenspaces of
     its g, each block ``_local_algebra_fit``'s where that applies, else a
@@ -473,7 +452,7 @@ def _exact_fit(t: PartyTensor, rank: int, cfg: ProbeConfig, analysis: tuple) -> 
     residual = float(np.linalg.norm(np.moveaxis(t.data, axis, 0) - x @ u @ fit @ np.linalg.inv(u)))
     if terms != rank or not residual < FIT_TOL:
         return None
-    return RankProbeResult(rank, residual, True, 0, cfg.seed, cfg, "exact", 0, time.perf_counter() - start)
+    return RankProbeResult(rank, residual, True, None, "exact", 0, time.perf_counter() - start)
 
 
 def product_term_estimate(t: PartyTensor, config: ProbeConfig | None = None) -> ProductTermEstimate:
@@ -485,15 +464,12 @@ def product_term_estimate(t: PartyTensor, config: ProbeConfig | None = None) -> 
     the bound rests on failed probes, which prove nothing, so it is heuristic.
     Raises CapExceeded when no rank up to ``t.size`` converges.
     """
-    cfg = config or ProbeConfig()
     lower, rule, analysis = _proof(t)
     flat = max(t.ranks)
-    probes = [
-        RankProbeResult(r, np.inf, False, 0, cfg.seed, cfg, "excluded", 0, 0.0) for r in range(flat, lower)
-    ]
-    exact = rule != "flattening" and _exact_fit(t, lower, cfg, analysis)
+    probes = [RankProbeResult(r, np.inf, False, None, "excluded", 0, 0.0) for r in range(flat, lower)]
+    exact = rule != "flattening" and _exact_fit(t, lower, analysis)
     for r in range(lower, t.size + 1):
-        probes.append(exact if r == lower and exact else cp_rank_probe(t, r, cfg))
+        probes.append(exact if r == lower and exact else cp_rank_probe(t, r, config))
         if probes[-1].converged:
             return ProductTermEstimate(r, r > lower, flat, tuple(probes), lower, rule)
     raise CapExceeded(f"no converged CP fit up to rank {t.size} (lower bound {lower}, {rule})")

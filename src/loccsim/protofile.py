@@ -44,6 +44,11 @@ from .protocol import (
 )
 from .states import PureState, Register, epr, ghz, ghz_class, tensor, w_family
 
+# the most sites a protocol file may declare: an amplitude vector holds 2**n
+# complex numbers, 16 MiB at 20 sites but 16 GiB at 30, which a few attach
+# lines reach; the largest bundled register has 8 sites
+MAX_SITES = 20
+
 # family name -> (constructor, numeric parameter count, site count)
 _FAMILIES = {"w": (w_family, 4, 3), "ghz": (ghz, 0, 3), "epr": (epr, 0, 2), "ghzclass": (ghz_class, 5, 3)}
 
@@ -138,6 +143,13 @@ def _parse_state_clause(cur: _Cursor) -> tuple[str, list[float], list[str]]:
 
 
 def _family_state(kind: str, params: list[float], reg: Register, line_no: int) -> PureState:
+    # sites are numbered in declaration order, so the largest is the register size
+    if max(reg.sites) > MAX_SITES:
+        raise SemanticError(
+            f"the register would hold {max(reg.sites)} sites, more than the "
+            f"{MAX_SITES} a protocol file may declare",
+            line=line_no,
+        )
     try:
         return _FAMILIES[kind][0](*params, reg)
     except (ConstraintViolation, DegenerateState) as exc:

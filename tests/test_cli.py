@@ -161,6 +161,15 @@ def test_run_semantic_error(tmp_path):
     assert main(["run", str(bad)]) == 2
 
 
+def test_run_rejects_a_register_past_the_site_limit(tmp_path, capsys):
+    # each attach ghz multiplies the amplitude vector by 8; the sixth makes 21 sites
+    big = tmp_path / "big.loccsim"
+    big.write_text("state ghz parties A B C\n" + "attach ghz parties A B C\n" * 6 + "target ghz-lu sites 1 2 3\n")
+    assert main(["run", str(big)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 7: ") and "21 sites" in err and err.count("\n") == 1
+
+
 def test_classify_malformed_json(tmp_path):
     garbled = tmp_path / "garbled.json"
     garbled.write_text("{not json")

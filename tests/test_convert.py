@@ -276,6 +276,31 @@ def test_verdict_party_ranks_recorded(monkeypatch):
     assert v.party_ranks == (("A", 2, 2), ("B", 4, 4), ("C", 4, 4))
 
 
+def _assert_prop1(a, b, c, alpha):
+    # Proposition 1: no pair catalyst turns a W-class triple into GHZ
+    v = catalysis_verdict(*bipartite_catalysis_pair(a, b, c, alpha, 1 - alpha))
+    ob = v.product_term_obstruction
+    assert v.feasible == IMPOSSIBLE
+    assert (ob.source_terms, ob.target_terms, ob.heuristic) == (6, 4, False)
+    assert v.party_ranks == (("A", 2, 2), ("B", 4, 4), ("C", 4, 4))
+
+
+@pytest.mark.parametrize("alpha", [0.03, 0.5, 0.97])
+@pytest.mark.parametrize(
+    "weights", [(0.94, 0.03, 0.03), (0.03, 0.94, 0.03), (0.03, 0.03, 0.94), (1 / 3, 1 / 3, 1 / 3), (0.03, 0.485, 0.485)]
+)
+def test_prop1_holds_at_the_corners_of_its_family(weights, alpha):
+    _assert_prop1(*weights, alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(0.03, 0.94), split=st.floats(0.0, 1.0), alpha=st.floats(0.03, 0.97))
+def test_prop1_holds_over_its_family(a, split, alpha):
+    # W weights a, b, c of at least 0.03 each, summing to 1
+    b = 0.03 + split * (0.94 - a)
+    _assert_prop1(a, b, 1 - a - b, alpha)
+
+
 def test_verdict_serialization(monkeypatch):
     src, dst = bipartite_catalysis_pair()
     fake_probe(monkeypatch, [6, 4])

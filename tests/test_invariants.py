@@ -312,8 +312,8 @@ def test_probe_result_serialization():
     doc = probe.to_dict()
     assert doc["tested_rank"] == 2
     assert doc["converged"] is True
-    assert doc["restarts"] == 32
-    assert doc["config"]["max_iters"] == 2000
+    assert doc["config"] == {"restarts": 32, "max_iters": 2000, "seed": 0x5EED}
+    assert "restarts" not in doc and "seed" not in doc
     assert (doc["stop_reason"], doc["sweeps"]) == (probe.stop_reason, probe.sweeps)
 
 
@@ -334,6 +334,47 @@ def test_probe_non_converging_runs_on():
     assert not probe.converged
     assert probe.stop_reason in ("cap", "stalled")
     assert probe.best_residual == pytest.approx(0.004474859319990208, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "state, rank, config, residual, stop_reason, sweeps",
+    [
+        (W_W, 6, ProbeConfig(max_iters=300), 7.899280298063197e-03, "cap", 300),
+        (W_W, 7, None, 1.195893683650511e-11, "converged", 504),
+        (W_EPR, 6, None, 6.306312197114021e-12, "converged", 165),
+        (w_state(ABC), 2, None, 4.474859319990208e-03, "cap", 2000),
+        (w_state(ABC), 3, None, 1.4777934282441172e-12, "converged", 111),
+    ],
+    ids=["w-w-r6", "w-w-r7", "w-epr-r6", "w-r2", "w-r3"],
+)
+def test_probe_table_at_the_default_seed(state, rank, config, residual, stop_reason, sweeps):
+    # pins the sweep's arithmetic and stop rule, whatever layout the factors take
+    probe = cp_rank_probe(PartyTensor.from_state(state), rank, config)
+    assert (probe.stop_reason, probe.sweeps) == (stop_reason, sweeps)
+    assert probe.best_residual == pytest.approx(residual, rel=1e-9)
+    assert probe.config == (config or ProbeConfig())
+
+
+@pytest.mark.parametrize(
+    "state, rank, max_iters", [(ghz(ABC), 2, 50), (w_state(ABC), 3, 100)], ids=["ghz-r2", "w-r3"]
+)
+def test_a_probe_capped_below_fit_tol_reads_converged(state, rank, max_iters):
+    # the best restart reached its floor before the stall window ran out
+    probe = cp_rank_probe(PartyTensor.from_state(state), rank, ProbeConfig(max_iters=max_iters))
+    assert probe.best_residual < invariants.FIT_TOL
+    assert (probe.converged, probe.stop_reason, probe.sweeps) == (True, "converged", max_iters)
+
+
+def test_only_an_als_entry_carries_a_config():
+    est = product_term_estimate(PartyTensor.from_state(W_EPR))
+    entries = [(p.tested_rank, p.stop_reason, p.config) for p in est.probes]
+    assert entries == [(4, "excluded", None), (5, "excluded", None), (6, "exact", None)]
+    for probe in est.probes:
+        doc = probe.to_dict()
+        assert doc["config"] is None and not {"seed", "restarts"} & doc.keys()
+    cfg = ProbeConfig(seed=7)
+    excluded, als = product_term_estimate(PENCIL, cfg).probes
+    assert (excluded.config, als.tested_rank, als.stop_reason, als.config) == (None, 5, "converged", cfg)
 
 
 def test_estimate_w_and_flat_pair():
@@ -477,7 +518,7 @@ def test_exact_fit_declines_an_algebra_the_recipe_does_not_cover():
     assert (bound, rule) == (7, "alder-strassen")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert invariants._exact_fit(t, bound, ProbeConfig(), analysis) is None
+        assert invariants._exact_fit(t, bound, analysis) is None
 
 
 def _w_catalyst_counts(cat: PureState, monkeypatch) -> tuple:
@@ -691,7 +732,7 @@ def test_report_documents_keep_their_keys_and_json():
     # each document lists its fields in declaration order, as plain JSON
     # values (lists, not tuples), and dumps to these exact strings
     cfg = ProbeConfig(restarts=4, max_iters=300, seed=7)
-    probe = RankProbeResult(3, 2.5e-12, True, 4, 7, cfg, "converged", 120, wall_s=0.125)
+    probe = RankProbeResult(3, 2.5e-12, True, cfg, "converged", 120, wall_s=0.125)
     cfg_json = '{"restarts": 4, "max_iters": 300, "seed": 7}'
     rows = (PartyRank("A", 2, 2), PartyRank("B", 4, 4))
     rows_json = (
@@ -699,9 +740,8 @@ def test_report_documents_keep_their_keys_and_json():
         '{"party": "B", "source_rank": 4, "target_rank": 4}]'
     )
     probe_json = (
-        '{"tested_rank": 3, "best_residual": 2.5e-12, "converged": true, "restarts": 4, '
-        f'"seed": 7, "config": {cfg_json}, "stop_reason": "converged", "sweeps": 120, '
-        '"wall_s": 0.125}'
+        '{"tested_rank": 3, "best_residual": 2.5e-12, "converged": true, '
+        f'"config": {cfg_json}, "stop_reason": "converged", "sweeps": 120, "wall_s": 0.125}}'
     )
     expected = [
         (cfg, cfg_json),

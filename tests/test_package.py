@@ -100,6 +100,24 @@ def test_ranks_have_one_rule():
     assert helpers == []
 
 
+def test_probe_config_is_read_by_the_probe_alone():
+    # the probe settings mean something only where ALS runs: ProbeConfig
+    # checks them, cp_rank_probe reads them, and no record copies them out
+    settings, readers = {"seed", "restarts", "max_iters"}, []
+    for name in ("invariants.py", "convert.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for top in tree.body:
+            if isinstance(top, ast.ClassDef):
+                scopes = [(f"{top.name}.{getattr(m, 'name', '')}", m) for m in top.body]
+            else:
+                scopes = [(getattr(top, "name", "<module>"), top)]
+            for owner, scope in scopes:
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Attribute) and node.attr in settings and isinstance(node.ctx, ast.Load):
+                        readers.append(f"{name}:{owner}")
+    assert sorted(set(readers)) == ["invariants.py:ProbeConfig.__post_init__", "invariants.py:cp_rank_probe"]
+
+
 def test_readme_paths_exist():
     # a deleted script or golden file must not stay named in the README
     text = (ROOT / "README.md").read_text()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from loccsim.errors import ParseError, SemanticError
 from loccsim.prebuilt import prop3_input
 from loccsim.protocol import run_protocol
-from loccsim.protofile import _to_float, parse_protocol_file
+from loccsim.protofile import MAX_SITES, _to_float, parse_protocol_file
 
 PROP3_TEXT = """
 # pair-assisted conversion, weight 2/5
@@ -233,6 +233,12 @@ def test_parse_error_reports_position():
             "site",
             4,
         ),
+        # the sixth attach takes the register to 21 sites
+        (
+            "state ghz parties A B C\n" + "attach ghz parties A B C\n" * 6 + "target ghz-lu sites 1 2 3\n",
+            "21 sites",
+            7,
+        ),
     ],
 )
 def test_semantic_errors(text, fragment, line):
@@ -240,6 +246,12 @@ def test_semantic_errors(text, fragment, line):
         parse_protocol_file(text)
     assert fragment.lower() in str(exc.value).lower()
     assert exc.value.line == line
+
+
+def test_a_register_may_reach_the_site_limit():
+    text = "state ghz parties A B C\n" + "attach ghz parties A B C\n" * 5 + "attach epr parties A B\n"
+    state, _ = parse_protocol_file(text + "target ghz-lu sites 1 2 3\n")
+    assert state.n_sites == MAX_SITES == 20
 
 
 # ---------------------------------------------------------------------------
