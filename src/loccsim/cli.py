@@ -36,6 +36,11 @@ from .states import _doc, load_state, schmidt, state_to_dict
 
 OPTIMALITY_TOL = 1e-9
 
+# the most points a sweep may tabulate: it builds every point's protocol
+# (about 1.9 KB each) before it prints a line, so ten million points would
+# ask for some 19 GB
+MAX_POINTS = 10_000
+
 
 def _number(text: str) -> float:
     try:
@@ -44,16 +49,18 @@ def _number(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
-def _int_from(low: int):
-    """An argparse type: a decimal integer no smaller than ``low``."""
+def _int_from(low: int, high: int | None = None):
+    """An argparse type: a decimal integer no smaller than ``low`` and, when
+    ``high`` is given, no larger than it."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"want an integer >= {low}, got {text!r}")
+        if value is None or value < low or (high is not None and value > high):
+            want = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"want an integer {want}, got {text!r}")
         return value
 
     return parse
@@ -248,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=["prop3"])
     p.add_argument("--from", dest="start", type=_number, required=True)
     p.add_argument("--to", dest="stop", type=_number, required=True)
-    p.add_argument("--points", type=_int_from(1), default=10)
+    p.add_argument("--points", type=_int_from(1, MAX_POINTS), default=10)
     p.add_argument("--placement", choices=["BC", "AC"], default="BC")
     return parser
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
 from .invariants import PartyTensor, ProbeConfig, product_term_estimate
-from .states import PureState, _Report, schmidt
+from .states import PureState, _cut, _Report
 
 ZERO_TAIL = 1e-12
 
@@ -28,35 +28,40 @@ _FIT_NOTE = (
 
 
 def _as_spectrum(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).ravel()
+    v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.size == 0:
         raise NotAProbabilityVector(f"{name} is empty")
-    # written so that NaN entries fail the checks too
-    if not v.min() >= -1e-12:
+    # one spectrum per row along the last axis, each checked; written so that
+    # NaN entries fail the checks too
+    if not (v.min(axis=-1) >= -1e-12).all():
         raise NotAProbabilityVector(f"{name} has a negative or NaN entry ({v.min()!r})")
-    if not abs(v.sum() - 1.0) <= 1e-9:
-        raise NotAProbabilityVector(f"{name} sums to {v.sum()!r}, not 1")
-    return np.clip(v, 0.0, None)
+    total = v.sum(axis=-1, keepdims=True)
+    off = ~(abs(total - 1.0) <= 1e-9)
+    if off.any():
+        raise NotAProbabilityVector(f"{name} sums to {total[off][0]!r}, not 1")
+    return np.maximum(v, 0.0)
 
 
-def vidal_probability(alpha, beta) -> float:
+def vidal_probability(alpha, beta) -> float | np.ndarray:
     """Optimal probability of converting spectrum ``alpha`` into ``beta``.
 
     ``P = min_l  sum_{i>=l} alpha_i / sum_{i>=l} beta_i`` over tail starts l,
     after padding to a common length and sorting nonincreasing.  Tail starts
     where ``beta``'s tail vanishes are skipped (their ratio is +inf or 0/0).
-    The result is clamped to [0, 1].
+    The result is clamped to [0, 1].  Two spectra give a float; spectra
+    stacked along the last axis give an array with one probability per row.
     """
     a = _as_spectrum(alpha, "alpha")
     b = _as_spectrum(beta, "beta")
-    n = max(a.size, b.size)
-    a = np.pad(np.sort(a)[::-1], (0, n - a.size))
-    b = np.pad(np.sort(b)[::-1], (0, n - b.size))
-    tails_a = np.cumsum(a[::-1])[::-1]
-    tails_b = np.cumsum(b[::-1])[::-1]
-    live = tails_b >= ZERO_TAIL  # never empty: tails_b[0] is 1
-    best = np.min(tails_a[live] / tails_b[live], initial=np.inf)
-    return float(min(max(best, 0.0), 1.0))
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(a.shape[-1], b.shape[-1]),)
+    tails = np.zeros((2, *shape))  # both spectra, sorted and zero-filled
+    for t, v in zip(tails, (a, b)):
+        t[..., : v.shape[-1]] = np.sort(v, axis=-1)[..., ::-1]
+    tails_a, tails_b = np.cumsum(tails[..., ::-1], axis=-1)[..., ::-1]
+    live = tails_b >= ZERO_TAIL  # never empty: the first tail is 1
+    best = np.min(tails_a / np.where(live, tails_b, 1.0), axis=-1, where=live, initial=np.inf)
+    p = np.clip(best, 0.0, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 @dataclass(frozen=True)
@@ -111,9 +116,19 @@ def splitting_bound(
     minimum does too.
     """
     parties = _compatible_registers(source, target)
-    per_cut: dict[str, float] = {}
-    for left, key in splitting_cuts(parties):
-        per_cut[key] = vidal_probability(schmidt(source, left), schmidt(target, left))
+    cuts, n = splitting_cuts(parties), source.n_sites
+    # a cut's spectrum is read from its smaller side (the singular values are
+    # the same either way), so the cuts with as many row sites share one SVD
+    groups: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
+    for left, key in cuts:
+        k = len(source.register.sites_of(left))
+        rows = left if 2 * k <= n else tuple(p for p in parties if p not in left)
+        groups.setdefault(min(k, n - k), []).append((key, rows))
+    per_cut: dict[str, float] = dict.fromkeys(key for _, key in cuts)
+    for group in groups.values():
+        mats = [_cut(s, s.register.sites_of(rows)) for _, rows in group for s in (source, target)]
+        spectra = np.linalg.svd(np.stack(mats), compute_uv=False) ** 2
+        per_cut.update(zip((key for key, _ in group), vidal_probability(spectra[0::2], spectra[1::2]).tolist()))
     return ConversionBound(
         per_cut=per_cut,
         bound=min(per_cut.values()),

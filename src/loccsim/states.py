@@ -328,8 +328,8 @@ def reduced_density_sites(s: PureState, keep_sites: Sequence[int]) -> DensityMat
 
 def schmidt(s: PureState, left: Iterable[str]) -> np.ndarray:
     """Squared Schmidt coefficients across the cut (left parties)|(complement),
-    nonincreasing and padded with numerical zeros up to the smaller cut
-    dimension."""
+    nonincreasing: the SVD returns exactly as many as the smaller side's
+    dimension, those past the Schmidt rank numerical zeros."""
     wanted = set(left)
     if not wanted:
         raise EmptySubset("empty left subset")

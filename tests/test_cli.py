@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loccsim import convert, invariants
+from loccsim import cli, convert, invariants
 from loccsim.cli import main
+from loccsim.errors import ParameterOutOfRange
 from loccsim.invariants import ProbeConfig
 from loccsim.states import (
     Register,
@@ -332,6 +333,31 @@ def test_sweep_rejects_empty_grid(points, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sweep_rejects_points_past_the_limit_before_building_any(monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr(cli, "prop3", lambda *args: built.append(args))
+    rc = main(["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", str(cli.MAX_POINTS + 1)])
+    assert rc == 2 and built == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: argument --points: want an integer in [1, {cli.MAX_POINTS}]")
+
+
+def test_sweep_accepts_points_at_the_limit(monkeypatch, capsys):
+    # the grid reaches the builder, which stops it at its first point
+    built = []
+
+    def first_point_only(a, placement):
+        built.append(a)
+        raise ParameterOutOfRange("stop after one point")
+
+    monkeypatch.setattr(cli, "prop3", first_point_only)
+    rc = main(["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", str(cli.MAX_POINTS)])
+    assert rc == 1 and built == [0.34]
+    assert capsys.readouterr().err == "error: stop after one point\n"
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loccsim import convert
@@ -15,7 +15,7 @@ from loccsim.convert import (
 from loccsim.errors import NotAProbabilityVector, RegisterMismatch, WrongArity
 from loccsim.invariants import ProductTermEstimate
 from loccsim.prebuilt import bipartite_catalysis_pair, prop3_input, prop3_target
-from loccsim.states import PureState, Register, ghz, tensor, w_state
+from loccsim.states import PureState, Register, computational, epr, ghz, schmidt, tensor, w_state
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
@@ -74,6 +74,50 @@ def test_vidal_rejects_nan():
         vidal_probability([np.nan, 1.0], [0.5, 0.5])
     with pytest.raises(NotAProbabilityVector):
         vidal_probability([0.5, 0.5], [np.nan, np.nan])
+
+
+def test_vidal_reports_the_sum_it_rejects():
+    with pytest.raises(NotAProbabilityVector, match=r"alpha sums to .*1\.25.*, not 1"):
+        vidal_probability([0.75, 0.5], [0.5, 0.5])
+
+
+def _stack(rng, rows, n, zeros):
+    """``rows`` random spectra of length ``n``, the last ``zeros`` entries 0."""
+    x = rng.random((rows, n))
+    x[:, n - zeros :] = 0.0
+    return x / x.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 5),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(st.integers(0, 5), st.integers(0, 5)),
+)
+def test_vidal_on_a_stack_equals_row_by_row(seed, rows, lengths, zeros):
+    # unequal lengths pad, and zero tails of beta are skipped, row by row
+    rng = np.random.default_rng(seed)
+    alpha, beta = (_stack(rng, rows, n, min(z, n - 1)) for n, z in zip(lengths, zeros))
+    stacked = vidal_probability(alpha, beta)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (rows,)
+    assert stacked.tolist() == [vidal_probability(a, b) for a, b in zip(alpha, beta)]
+    assert type(vidal_probability(alpha[0], beta[0])) is float
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [([0.6, 0.5, -0.1], "negative or NaN"), ([np.nan, 0.5, 0.5], "negative or NaN"), ([0.5, 0.5, 0.3], r"sums to .*1\.3")],
+    ids=["negative", "nan", "sum"],
+)
+@pytest.mark.parametrize("side", ["alpha", "beta"])
+def test_vidal_rejects_a_stack_with_one_bad_row(bad, message, side):
+    good = np.full((3, 3), 1 / 3)
+    stack = good.copy()
+    stack[1] = bad
+    args = (stack, good) if side == "alpha" else (good, stack)
+    with pytest.raises(NotAProbabilityVector, match=f"{side} .*{message}"):
+        vidal_probability(*args)
 
 
 @settings(max_examples=200, deadline=None)
@@ -173,6 +217,62 @@ def test_one_party_states_are_rejected():
         splitting_bound(held, held)
     with pytest.raises(WrongArity):
         catalysis_verdict(held, held)
+
+
+GHZ4 = PureState(Register.for_parties("A", "B", "C", "D"), np.eye(16)[[0, 15]].sum(axis=0) / np.sqrt(2))
+
+
+@st.composite
+def register_pairs(draw):
+    """Two states on 2-4 parties with 1-2 sites each, the target's sites in
+    their own order: a random target, the source itself, or a product."""
+    counts = draw(st.lists(st.integers(1, 2), min_size=2, max_size=4))
+    owners = [p for p, c in zip("ABCD", counts) for _ in range(c)]
+    regs = [Register.of(list(enumerate(draw(st.permutations(owners)), start=1))) for _ in range(2)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def random_state(reg):
+        amps = rng.normal(size=reg.dim) + 1j * rng.normal(size=reg.dim)
+        return PureState(reg, amps / np.linalg.norm(amps))
+
+    source = random_state(regs[0])
+    kind = draw(st.sampled_from(["random", "same", "product"]))
+    target = {"random": random_state, "same": lambda _: source, "product": lambda r: computational(r, [0] * r.n_sites)}
+    return source, target[kind](regs[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(register_pairs())
+@example((tensor(epr(Register.of([(1, "A"), (2, "B")])), epr(Register.of([(3, "C"), (4, "D")]))), GHZ4))
+@example((tensor(w_state(ABC), ghz(Register.of([(4, "A"), (5, "B"), (6, "D")]))),) * 2)
+def test_stacked_bound_equals_the_cut_by_cut_formula(pair):
+    source, target = pair
+    b = splitting_bound(source, target)
+    cuts = splitting_cuts(source.register.party_labels())
+    assert list(b.per_cut) == [key for _, key in cuts]
+    for left, key in cuts:
+        expected = vidal_probability(schmidt(source, left), schmidt(target, left))
+        assert b.per_cut[key] == pytest.approx(expected, abs=1e-12)
+    assert b.bound == min(b.per_cut.values())
+
+
+def test_bound_takes_one_svd_per_cut_shape(monkeypatch):
+    # every cut of both states comes from one stacked SVD per row-site count
+    pairs = [(w_state(ABC), ghz(ABC)), (prop3_input(0.4), prop3_target())]
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    counts = []
+    for pair in pairs:
+        calls.clear()
+        splitting_bound(*pair)
+        counts.append(len(calls))
+    assert counts[0] == 1 and counts[1] <= 2
 
 
 def test_bound_serialization():
