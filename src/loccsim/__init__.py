@@ -54,7 +54,6 @@ from .invariants import (
     three_tangle,
 )
 from .prebuilt import (
-    PreparedProtocol,
     bipartite_catalysis_pair,
     ghz_plus_epr_to_any,
     ghz_to_epr,
@@ -72,6 +71,7 @@ from .protocol import (
     PAULI_Z,
     BranchNode,
     Measure,
+    PreparedProtocol,
     Protocol,
     Target,
     Teleport,

@@ -22,7 +22,6 @@ from .convert import IMPOSSIBLE, catalysis_verdict, splitting_bound
 from .errors import LoccSimError, ParseError, SemanticError
 from .invariants import ProbeConfig, slocc_class
 from .prebuilt import (
-    PreparedProtocol,
     bipartite_catalysis_pair,
     ghz_to_epr,
     intro_teleport,
@@ -30,7 +29,7 @@ from .prebuilt import (
     prop3_target,
     tripartite_catalysis_pair,
 )
-from .protocol import BranchNode, run_protocol
+from .protocol import BranchNode
 from .protofile import _to_float, parse_protocol_file
 from .states import _doc, load_state, schmidt, state_to_dict
 
@@ -88,9 +87,9 @@ def _cmd_classify(args):
 def _cmd_bound(args):
     src = load_state(args.source)
     dst = load_state(args.target)
-    b = splitting_bound(src, dst, source_id=args.source, target_id=args.target)
+    b = splitting_bound(src, dst)
     _print_bound(b)
-    return 0, b.to_dict()
+    return 0, {"source_id": args.source, "target_id": args.target, **b.to_dict()}
 
 
 def _print_bound(b) -> None:
@@ -121,17 +120,19 @@ def _verdict_report(args, src, dst, doc: dict) -> dict:
 
 
 def _cmd_run(args):
-    with open(args.protocol) as fh:
-        text = fh.read()
-    state, proto = parse_protocol_file(text, name=args.protocol)
-    tree = _run_and_print(PreparedProtocol(state, proto))
-    return 0, _doc({"protocol": proto.name, "success_probability": tree.success_probability, "tree": tree})
+    try:
+        with open(args.protocol, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{args.protocol}: {exc}") from None
+    tree = _run_and_print(parse_protocol_file(text, name=args.protocol))
+    return 0, _doc({"protocol": args.protocol, "success_probability": tree.success_probability, "tree": tree})
 
 
 def _run_and_print(prepared) -> BranchNode:
     """Run the protocol, print its leaves and success probability, and
     return its branch tree."""
-    tree = run_protocol(prepared.state, prepared.protocol)
+    tree = prepared.run()
     print("outcome  probability     status")
     for leaf in tree.leaves():
         print(f"{leaf.record:<8} {_prob(leaf.prob)}  {leaf.status}")
@@ -154,17 +155,13 @@ def _demo_prop3(args):
     prepared = prop3(a, placement)
     tree = _run_and_print(prepared)
     p = tree.success_probability
-    b = splitting_bound(
-        prepared.state,
-        prop3_target(placement),
-        source_id=f"prop3 input a={a}",
-        target_id="prop3 target",
-    )
+    b = splitting_bound(prepared.state, prop3_target(placement))
     _print_bound(b)
     achieved = abs(p - b.bound) <= OPTIMALITY_TOL
     print(f"optimal: {'achieved' if achieved else 'NOT matched'}")
     doc = {"demo": "prop3", "a": a, "placement": placement, "success_probability": p, "tree": tree}
-    return 0, _doc({**doc, "bound": b, "optimal": achieved})
+    labels = {"source_id": f"prop3 input a={a}", "target_id": "prop3 target"}
+    return 0, _doc({**doc, "bound": {**labels, **b.to_dict()}, "optimal": achieved})
 
 
 def _demo_intro(args):
@@ -190,7 +187,7 @@ def _cmd_sweep(args):
     rows = []
     print("a               engine          closed form 2a  bound")
     for a, prepared in zip(grid, built):
-        p = run_protocol(prepared.state, prepared.protocol).success_probability
+        p = prepared.run().success_probability
         b = splitting_bound(prepared.state, prop3_target(args.placement))
         print(f"{_prob(a)}  {_prob(p)}  {_prob(2 * a)}  {_prob(b.bound)}")
         rows.append({"a": a, "engine": p, "closed_form": 2 * a, "bound": b.bound})
@@ -278,7 +275,7 @@ def main(argv=None) -> int:
                 json.dump(doc, fh, indent=2)
                 fh.write("\n")
         return code
-    except (_UsageError, ParseError, SemanticError, json.JSONDecodeError, OSError) as exc:
+    except (_UsageError, ParseError, SemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LoccSimError as exc:

@@ -68,8 +68,6 @@ def vidal_probability(alpha, beta) -> float | np.ndarray:
 class ConversionBound(_Report):
     """Upper bound on the collective conversion probability, cut by cut."""
 
-    source_id: str
-    target_id: str
     per_cut: dict[str, float]
     bound: float
 
@@ -103,12 +101,7 @@ def splitting_cuts(parties: Sequence[str]) -> list[tuple[tuple[str, ...], str]]:
     return cuts
 
 
-def splitting_bound(
-    source: PureState,
-    target: PureState,
-    source_id: str | None = None,
-    target_id: str | None = None,
-) -> ConversionBound:
+def splitting_bound(source: PureState, target: PureState) -> ConversionBound:
     """Minimum over party bipartitions of the bipartite conversion probability.
 
     Both states must carry the same parties with the same per-party site
@@ -129,12 +122,7 @@ def splitting_bound(
         mats = [_cut(s, s.register.sites_of(rows)) for _, rows in group for s in (source, target)]
         spectra = np.linalg.svd(np.stack(mats), compute_uv=False) ** 2
         per_cut.update(zip((key for key, _ in group), vidal_probability(spectra[0::2], spectra[1::2]).tolist()))
-    return ConversionBound(
-        per_cut=per_cut,
-        bound=min(per_cut.values()),
-        source_id=source_id or source.fingerprint(),
-        target_id=target_id or target.fingerprint(),
-    )
+    return ConversionBound(per_cut, min(per_cut.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -44,14 +44,11 @@ class PartyTensor:
     """
 
     parties: tuple[str, ...]
-    shape: tuple[int, ...]
     data: np.ndarray
     ranks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.complex128)
-        if d.shape != tuple(self.shape):
-            raise ConstraintViolation(f"data shape {d.shape} != declared {self.shape}")
         nrm = np.linalg.norm(d)
         # written so that a NaN norm fails the check too
         if not abs(nrm - 1.0) <= NORM_TOL:
@@ -60,7 +57,6 @@ class PartyTensor:
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
         object.__setattr__(self, "parties", tuple(self.parties))
-        object.__setattr__(self, "shape", tuple(int(x) for x in self.shape))
         object.__setattr__(self, "ranks", flattening_ranks(self))
 
     @classmethod
@@ -69,11 +65,15 @@ class PartyTensor:
         site_groups = [s.register.sites_of([p]) for p in parties]
         shape = tuple(2 ** len(grp) for grp in site_groups)
         data = _cut(s, [x for grp in site_groups for x in grp]).reshape(shape)
-        return cls(parties, shape, data)
+        return cls(parties, data)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return self.data.size
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:

@@ -7,8 +7,6 @@ exposed as (source, target) pairs ready for ``catalysis_verdict``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterOutOfRange, WrongArity
@@ -16,13 +14,12 @@ from .protocol import (
     CNOT,
     PAULI_X,
     PAULI_Z,
-    BranchNode,
     Measure,
+    PreparedProtocol,
     Protocol,
     Target,
     Teleport,
     Unitary,
-    run_protocol,
 )
 from .states import PureState, Register, epr, ghz, tensor, w_family, w_state
 
@@ -40,17 +37,6 @@ def _check_weight(x: float, name: str) -> float:
     if not (_WEIGHT_LO - _WEIGHT_SLACK <= x < _WEIGHT_HI):
         raise ParameterOutOfRange(f"{name} must lie in [1/3, 1/2), got {x!r}")
     return x
-
-
-@dataclass(frozen=True)
-class PreparedProtocol:
-    """A protocol together with the input state it is meant to run on."""
-
-    state: PureState
-    protocol: Protocol
-
-    def run(self) -> BranchNode:
-        return run_protocol(self.state, self.protocol)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ per-step check, ``_check_step``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -111,6 +111,16 @@ class Protocol:
     steps: tuple[Step, ...]
     target: Target
     name: str = ""
+
+
+class PreparedProtocol(NamedTuple):
+    """A protocol together with the input state it is meant to run on."""
+
+    state: PureState
+    protocol: Protocol
+
+    def run(self) -> BranchNode:
+        return run_protocol(self.state, self.protocol)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from .errors import (
 from .protocol import (
     CNOT,
     Measure,
+    PreparedProtocol,
     Protocol,
     Step,
     Target,
@@ -156,7 +157,7 @@ def _family_state(kind: str, params: list[float], reg: Register, line_no: int) -
         raise SemanticError(str(exc), line=line_no) from exc
 
 
-def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureState, Protocol]:
+def parse_protocol_file(text: str, name: str = "protocol-file") -> PreparedProtocol:
     """Parse a protocol document into its input state and protocol.
 
     The steps and the target are checked by the protocol validator when the
@@ -215,7 +216,7 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> tuple[PureSta
         raise ParseError("missing state")
     if target is None:
         raise ParseError("missing target")
-    return state, Protocol(tuple(steps), target, name=name)
+    return PreparedProtocol(state, Protocol(tuple(steps), target, name=name))
 
 
 def _parse_step(cur: _Cursor) -> Step:

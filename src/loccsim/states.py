@@ -23,6 +23,7 @@ from .errors import (
     DegenerateState,
     EmptySubset,
     LabelCollision,
+    ParseError,
     RegisterMismatch,
     WrongArity,
 )
@@ -427,5 +428,14 @@ def save_state(s: PureState, path) -> None:
 
 
 def load_state(path) -> PureState:
-    with open(path) as fh:
-        return state_from_dict(json.load(fh))
+    """The state saved at ``path``.  A file that is not UTF-8 JSON raises
+    ParseError, as does one nested too deep or holding an integer too long
+    to decode."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    # undecodable bytes, bad JSON and an integer past Python's digit limit are
+    # ValueErrors; nesting past the recursion limit is a RecursionError
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return state_from_dict(doc)

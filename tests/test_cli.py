@@ -103,6 +103,25 @@ def test_bound_w_to_ghz(w_file, ghz_file, tmp_path, capsys):
         assert value == pytest.approx(2 / 3, abs=1e-9)
 
 
+def test_bounds_hash_no_state(monkeypatch, tmp_path, capsys):
+    # a bound is only its numbers; the commands that print labels write them
+    from loccsim.prebuilt import prop3_input, prop3_target
+    from loccsim.states import PureState
+
+    def refuse(self):
+        raise AssertionError("a bound hashed a state")
+
+    monkeypatch.setattr(PureState, "fingerprint", refuse)
+    for pair in [(w_state(ABC), ghz(ABC)), (prop3_input(0.4), prop3_target())]:
+        convert.splitting_bound(*pair)
+    assert main(["sweep", "prop3", "--from", "1/3", "--to", "0.49", "--points", "3"]) == 0
+    report = tmp_path / "prop3.json"
+    assert main(["demo", "prop3", "2/5", "--json", str(report)]) == 0
+    bound = json.loads(report.read_text())["bound"]
+    assert list(bound) == ["source_id", "target_id", "per_cut", "bound"]
+    assert (bound["source_id"], bound["target_id"]) == ("prop3 input a=0.4", "prop3 target")
+
+
 def test_verdict_exit_code_for_impossible(tmp_path, capsys):
     from loccsim.prebuilt import bipartite_catalysis_pair
 
@@ -258,6 +277,42 @@ def test_edge_inputs_exit_cleanly(command, parties, tmp_path):
     assert run.stderr == "" or (run.stderr.startswith("error: ") and run.stderr.count("\n") == 1)
     if report.exists():
         json.dumps(json.loads(report.read_text()), allow_nan=False)
+
+
+# inputs that fail where the file is read or decoded, before any check of ours
+UNREADABLE = {
+    "binary": b"\xff",
+    "binary-protocol": b"state ghz parties A B C\n\xff\ntarget ghz-lu sites 1 2 3\n",
+    "deep": b"[" * 100_000,
+    "long-label": b'{"sites": [{"label": ' + b"9" * 5000 + b', "party": "A"}], "amplitudes": [[1, 0]]}',
+}
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("classify", "binary"),
+        ("bound", "binary"),
+        ("verdict", "binary"),
+        ("run", "binary-protocol"),
+        ("classify", "deep"),
+        ("classify", "long-label"),
+    ],
+)
+def test_unreadable_inputs_exit_cleanly(command, content, tmp_path):
+    # a separate interpreter, so that a traceback would reach stderr
+    path, report = tmp_path / "input", tmp_path / "report.json"
+    path.write_bytes(UNREADABLE[content])
+    argv = [command, str(path)] + ([str(path)] if command in ("bound", "verdict") else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "loccsim.cli", *argv, "--json", str(report)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 2
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert not report.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -275,10 +277,14 @@ def test_bound_takes_one_svd_per_cut_shape(monkeypatch):
     assert counts[0] == 1 and counts[1] <= 2
 
 
+def test_conversion_bound_is_only_its_numbers():
+    assert [f.name for f in dataclasses.fields(convert.ConversionBound)] == ["per_cut", "bound"]
+
+
 def test_bound_serialization():
-    b = splitting_bound(prop3_input(0.4), prop3_target(), source_id="phi", target_id="chi")
+    b = splitting_bound(prop3_input(0.4), prop3_target())
     doc = b.to_dict()
-    assert doc["source_id"] == "phi"
+    assert list(doc) == ["per_cut", "bound"]
     assert doc["bound"] == pytest.approx(0.8)
     assert set(doc["per_cut"]) == {"A|BC", "AB|C", "AC|B"}
 

@@ -66,7 +66,7 @@ def _near_ghz(eps: float, register=ABC) -> PureState:
 
 def _structure_tensor(c: np.ndarray) -> PartyTensor:
     # c[i, j, k]: the coefficient of basis element k in the product of i and j
-    return PartyTensor(("A", "B", "C"), c.shape, c / np.linalg.norm(c))
+    return PartyTensor(("A", "B", "C"), c / np.linalg.norm(c))
 
 
 def _monomial_algebra(monomials, relations=()) -> np.ndarray:
@@ -164,7 +164,7 @@ def test_party_tensor_three_qubits():
 def test_party_tensor_rejects_a_nan_norm():
     # a NaN norm fails the norm check, before the SVDs of the ranks
     with pytest.raises(ConstraintViolation, match="norm"):
-        PartyTensor(("A", "B"), (2, 2), np.full((2, 2), np.nan))
+        PartyTensor(("A", "B"), np.full((2, 2), np.nan))
 
 
 def test_flattening_ranks_match_reduced_densities():
@@ -484,7 +484,7 @@ def test_w_w_keeps_its_exact_entry_under_invertible_local_maps(monkeypatch):
     for _ in range(10):
         ops = [bounded_invertible(rng, cond_cap=30.0, dim=4) for _ in range(3)]
         v = np.einsum("ia,jb,kc,abc->ijk", *ops, base.data)
-        est = product_term_estimate(PartyTensor(base.parties, base.shape, v / np.linalg.norm(v)))
+        est = product_term_estimate(PartyTensor(base.parties, v / np.linalg.norm(v)))
         exact = est.probes[-1]
         assert (est.terms, exact.tested_rank, exact.stop_reason) == (7, 7, "exact")
         assert exact.best_residual < invariants.FIT_TOL
@@ -576,11 +576,11 @@ def test_algebra_bound(state, bound):
 def test_rules_decline_a_random_tensor_and_a_singular_pencil():
     rng = np.random.default_rng(1401)
     v = rng.normal(size=(4, 4, 4)) + 1j * rng.normal(size=(4, 4, 4))
-    random_cube = PartyTensor(("A", "B", "C"), (4, 4, 4), v / np.linalg.norm(v))
+    random_cube = PartyTensor(("A", "B", "C"), v / np.linalg.norm(v))
     # no combination of these slices is invertible: their last rows vanish
     v = np.zeros((2, 3, 3))
     v[0, 0, 0] = v[0, 1, 2] = v[1, 1, 1] = 1.0
-    singular = PartyTensor(("A", "B", "C"), (2, 3, 3), v / np.linalg.norm(v))
+    singular = PartyTensor(("A", "B", "C"), v / np.linalg.norm(v))
     assert proven_lower_bound(random_cube) == (4, "flattening")
     assert proven_lower_bound(singular) == (3, "flattening")
 
