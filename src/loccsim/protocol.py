@@ -4,9 +4,11 @@ and teleportation over shared maximally entangled pairs.
 Measured qubits leave the register, so post-measurement states live on the
 remaining sites.  Teleportation is collapsed to its deterministic net effect
 (the far site takes over the source qubit's role).  Every step is plain
-data, so the whole protocol is checked before any branch runs.  That check
-and the primitives (``measure``, ``apply_unitary``, ``teleport``) share one
-per-step check, ``_check_step``.
+data, so a run checks each step once, with ``_check_step``, and plans it on
+the register it meets before any branch runs.  Branches then run array
+kernels, which the primitives (``measure``, ``apply_unitary``, ``teleport``)
+call after the same ``_check_step``; per branch only a teleport's test that
+its pair holds the resource state runs, as that depends on the branch.
 """
 
 from __future__ import annotations
@@ -204,6 +206,54 @@ def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int,
     return None
 
 
+def _resolve(step: Step, reg: Register, checked) -> tuple[tuple, tuple[int, ...]]:
+    """The kernel arguments of ``step`` on register ``reg``, given what
+    ``_check_step`` returned for it, and the sites the step consumes."""
+    if isinstance(step, Measure):
+        ax = reg.axis_of(step.site)
+        return ((2**ax, 2, 2 ** (reg.n_sites - ax - 1)), checked), (step.site,)
+    if isinstance(step, Unitary):
+        axes = tuple(reg.axis_of(x) for x in step.sites)
+        return (checked.reshape((2,) * (2 * len(axes))), axes), ()
+    return tuple(reg.axis_of(x) for x in (step.source, step.near, step.far)), (step.source, step.near)
+
+
+def _measure(s: PureState, args, reg: Register) -> list[tuple[str, float, PureState]]:
+    """Both outcomes at once: the outcome bras times the amplitudes as an
+    ``(L, 2, R)`` array around the measured axis; post-states live on ``reg``."""
+    shape, rows = args
+    out = rows @ s.amplitudes.reshape(shape)
+    probs = np.einsum("ikj,ikj->k", out, out.conj()).real.tolist()
+    kept = [(k, p) for k, p in enumerate(probs) if p >= BRANCH_DROP]
+    return [(str(k), p, PureState(reg, out[:, k].reshape(-1) / np.sqrt(p))) for k, p in kept]
+
+
+def _unitary(s: PureState, args) -> PureState:
+    u, axes = args
+    t = np.tensordot(u, s.tensor_view(), axes=(range(len(axes), u.ndim), axes))
+    return PureState(s.register, np.moveaxis(t, range(len(axes)), axes).reshape(-1))
+
+
+_EPR_PROJECTOR = np.zeros((4, 4), dtype=np.complex128)
+_EPR_PROJECTOR[0, 0] = _EPR_PROJECTOR[0, 3] = _EPR_PROJECTOR[3, 0] = _EPR_PROJECTOR[3, 3] = 0.5
+
+
+def _teleport(s: PureState, args, reg: Register) -> PureState:
+    """Test that the pair holds the resource state on this ``s``, then take
+    the teleport's net effect; the result lives on ``reg``."""
+    ax_s, ax_n, ax_f = args
+    t = s.tensor_view()
+    m = np.moveaxis(t, (ax_n, ax_f), (0, 1)).reshape(4, -1)
+    # the projector is symmetric under swapping the pair, so site order is moot
+    if not np.max(np.abs(m @ m.conj().T - _EPR_PROJECTOR)) <= EPR_TOL:
+        pair = (s.register.sites[ax_n], s.register.sites[ax_f])
+        raise NotAnEprResource(f"sites {pair} are not in the maximally entangled pair state")
+    # project (source, near) onto the maximally entangled bra and rescale:
+    # for a resource pair this is exactly the identity channel onto far
+    v = (np.trace(t, axis1=ax_s, axis2=ax_n) * _SQ2).reshape(-1)
+    return PureState(reg, v / np.linalg.norm(v))
+
+
 def measure(
     s: PureState, party: str, site: int, basis="Z"
 ) -> list[tuple[str, float, PureState]]:
@@ -212,18 +262,9 @@ def measure(
     The measured site is removed from the register.  Branches below the
     probability floor are dropped; outcome "0" is listed first.
     """
-    rows = _check_step(Measure(party, site, basis), s.register, s.register.sites, 0)
-    ax = s.register.axis_of(site)
-    t = s.tensor_view()
-    reg = s.register.without([site])
-    out = []
-    for k in (0, 1):
-        proj = np.tensordot(rows[k], t, axes=([0], [ax]))
-        p = float(np.linalg.norm(proj) ** 2)
-        if p < BRANCH_DROP:
-            continue
-        out.append((str(k), p, PureState(reg, proj.reshape(-1) / np.sqrt(p))))
-    return out
+    step = Measure(party, site, basis)
+    args, gone = _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))
+    return _measure(s, args, s.register.without(gone))
 
 
 def apply_unitary(
@@ -231,33 +272,8 @@ def apply_unitary(
 ) -> PureState:
     """Apply a ``2^k x 2^k`` unitary to ``sites`` (first listed site is the
     most significant index of the matrix)."""
-    u = _check_step(Unitary(party, sites, matrix), s.register, s.register.sites, 0)
-    k = len(sites)
-    axes = [s.register.axis_of(x) for x in sites]
-    t = np.tensordot(u.reshape((2,) * (2 * k)), s.tensor_view(), axes=(range(k, 2 * k), axes))
-    t = np.moveaxis(t, range(k), axes)
-    return PureState(s.register, t.reshape(-1))
-
-
-_EPR_PROJECTOR = np.zeros((4, 4), dtype=np.complex128)
-_EPR_PROJECTOR[0, 0] = _EPR_PROJECTOR[0, 3] = _EPR_PROJECTOR[3, 0] = _EPR_PROJECTOR[3, 3] = 0.5
-
-
-def _check_teleport_sites(s: PureState, source: int, epr_sites) -> tuple[int, int]:
-    """Check a teleport of ``source`` through ``epr_sites`` on ``s``; returns
-    the (near, far) pair."""
-    try:
-        near, far = epr_sites
-    except (TypeError, ValueError):
-        raise MalformedProtocol(f"epr_sites must be a (near, far) pair, got {epr_sites!r}") from None
-    _check_step(Teleport(source, near, far), s.register, s.register.sites, 0)
-    m = _cut(s, [near, far])
-    # the projector is symmetric under swapping the pair, so site order is moot
-    if not np.max(np.abs(m @ m.conj().T - _EPR_PROJECTOR)) <= EPR_TOL:
-        raise NotAnEprResource(
-            f"sites ({near}, {far}) are not in the maximally entangled pair state"
-        )
-    return near, far
+    step = Unitary(party, sites, matrix)
+    return _unitary(s, _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))[0])
 
 
 def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState:
@@ -267,15 +283,13 @@ def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState
     the far site ends up carrying the source qubit's role.  Source and near
     leave the register.
     """
-    near, _far = _check_teleport_sites(s, source, epr_sites)
-    ax_s = s.register.axis_of(source)
-    ax_n = s.register.axis_of(near)
-    # project (source, near) onto the maximally entangled bra and rescale:
-    # for a resource pair this is exactly the identity channel onto far
-    t = np.trace(s.tensor_view(), axis1=ax_s, axis2=ax_n) * _SQ2
-    v = t.reshape(-1)
-    v = v / np.linalg.norm(v)
-    return PureState(s.register.without([source, near]), v)
+    try:
+        near, far = epr_sites
+    except (TypeError, ValueError):
+        raise MalformedProtocol(f"epr_sites must be a (near, far) pair, got {epr_sites!r}") from None
+    step = Teleport(source, near, far)
+    args, gone = _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))
+    return _teleport(s, args, s.register.without(gone))
 
 
 # ---------------------------------------------------------------------------
@@ -311,24 +325,26 @@ class BranchNode(_Report):
         return float(sum(leaf.prob for leaf in self.leaves() if leaf.status == "success"))
 
 
-def _surviving_sites(s: PureState, steps: Sequence[Step]) -> tuple[int, ...]:
-    """Check the steps in order against the register of ``s``; returns the
-    sites that survive them, in register order.
+def _plan(s: PureState, steps: Sequence[Step]) -> tuple[list[tuple], tuple[int, ...]]:
+    """Check the steps in order against the register of ``s`` and resolve
+    each on the register it meets; returns one (step, kernel arguments,
+    register after the step) entry per step, the same on every branch, and
+    the sites that survive the steps, in register order.
 
     Each step goes through ``_check_step``, the check the primitive
     operations also run, whether or not a branch reaches the step; this is
     the protocol check of ``run_protocol`` and the protocol file parser.
     """
-    live = s.register.sites
-    measured = 0  # the length of every branch's record at this step
+    plan, reg, live, measured = [], s.register, s.register.sites, 0
     for i, step in enumerate(steps):
-        _check_step(step, s.register, live, measured, i)
-        if isinstance(step, Measure):
-            live = tuple(x for x in live if x != step.site)
-            measured += 1
-        elif isinstance(step, Teleport):
-            live = tuple(x for x in live if x not in (step.source, step.near))
-    return live
+        args, gone = _resolve(step, reg, _check_step(step, s.register, live, measured, i))
+        live = tuple(x for x in live if x not in gone)
+        # a protocol that leaves no site (no register) fails its target check
+        if gone and live:
+            reg = reg.without(gone)
+        plan.append((step, args, reg))
+        measured += isinstance(step, Measure)
+    return plan, live
 
 
 def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
@@ -358,16 +374,19 @@ def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
 
 
 def _ghz_lu_success(leaf: PureState, sites: tuple[int, int, int]) -> bool:
-    kept = tuple(x for x in leaf.register.sites if x in set(sites))
-    u, sv, _ = np.linalg.svd(_cut(leaf, kept), full_matrices=False)
-    # the rest factors out when the purity of its reduced state is 1
-    if np.sum(sv**4) < 1.0 - SUCCESS_TOL:
-        return False
-    triple = u[:, 0].reshape(2, 2, 2)
-    # the single-site spectra, one row per site, must be flat
-    unfoldings = np.stack([_unfold(triple, m) for m in range(3)])
-    probs = np.linalg.svd(unfoldings, compute_uv=False) ** 2
-    if np.max(np.abs(probs - 0.5)) > SUCCESS_TOL:
+    triple = leaf.tensor_view()  # when the three sites are the whole register
+    if leaf.n_sites > 3:
+        kept = tuple(x for x in leaf.register.sites if x in set(sites))
+        u, sv, _ = np.linalg.svd(_cut(leaf, kept), full_matrices=False)
+        # the rest factors out when the purity of its reduced state is 1
+        if np.sum(sv**4) < 1.0 - SUCCESS_TOL:
+            return False
+        triple = u[:, 0].reshape(2, 2, 2)
+    # each single-site density must be flat: a unit-trace 2x2 density r has
+    # its eigenvalues at 1/2 +- sqrt(((r00 - r11)/2)^2 + |r01|^2)
+    m = np.stack([_unfold(triple, k) for k in range(3)])
+    r = m @ m.conj().transpose(0, 2, 1)
+    if np.max(np.hypot((r[:, 0, 0] - r[:, 1, 1]).real / 2, np.abs(r[:, 0, 1]))) > SUCCESS_TOL:
         return False
     return abs(_tangle(triple) - 1.0) <= SUCCESS_TOL
 
@@ -389,16 +408,16 @@ def run_protocol(s: PureState, p: Protocol) -> BranchNode:
     step raises MalformedProtocol, SiteOwnership or NotUnitary even where no
     branch reaches it.
     """
-    _check_target(s, p.target, _surviving_sites(s, p.steps))
-    steps = p.steps
+    plan, final = _plan(s, p.steps)
+    _check_target(s, p.target, final)
 
     def expand(state: PureState, record: str, prob: float, idx: int) -> BranchNode:
-        while idx < len(steps):
-            step = steps[idx]
+        while idx < len(plan):
+            step, args, reg = plan[idx]
             idx += 1
             if isinstance(step, Measure):
                 children = []
-                for outcome, pk, post in measure(state, step.party, step.site, step.basis):
+                for outcome, pk, post in _measure(state, args, reg):
                     rec = record + outcome
                     pr = prob * pk
                     if step.accept != "*" and outcome != step.accept:
@@ -406,13 +425,10 @@ def run_protocol(s: PureState, p: Protocol) -> BranchNode:
                     else:
                         children.append(expand(post, rec, pr, idx))
                 return BranchNode(record, prob, state, "internal", tuple(children))
-            if isinstance(step, Unitary):
-                if step.when is None or all(
-                    want in ("*", got) for want, got in zip(step.when, record)
-                ):
-                    state = apply_unitary(state, step.party, step.sites, step.matrix)
-            else:
-                state = teleport(state, step.source, (step.near, step.far))
+            if isinstance(step, Teleport):
+                state = _teleport(state, args, reg)
+            elif step.when is None or all(want in ("*", got) for want, got in zip(step.when, record)):
+                state = _unitary(state, args)
         status = "success" if _leaf_success(state, p.target) else "failure"
         return BranchNode(record, prob, state, status)
 

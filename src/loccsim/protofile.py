@@ -41,7 +41,7 @@ from .protocol import (
     Teleport,
     Unitary,
     _check_target,
-    _surviving_sites,
+    _plan,
 )
 from .states import PureState, Register, epr, ghz, ghz_class, tensor, w_family
 
@@ -202,7 +202,7 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> PreparedProto
 
         elif directive == "target":
             try:
-                survivors = _surviving_sites(state, steps)
+                survivors = _plan(state, steps)[1]
                 target = _parse_target(cur, survivors)
                 _check_target(state, target, survivors)
             except _StepError as exc:

@@ -118,7 +118,8 @@ class PureState:
             raise ConstraintViolation(
                 f"amplitude vector must have length {self.register.dim}, got {amps.shape}"
             )
-        nrm = np.linalg.norm(amps)
+        # vdot overflows to inf without the warning np.linalg.norm gives
+        nrm = float(np.sqrt(np.vdot(amps, amps).real))
         # written so that a NaN norm fails the check too
         if not abs(nrm - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"state norm {nrm!r} deviates from 1 by > {NORM_TOL}")
@@ -280,7 +281,7 @@ def ghz_class(
     """
     _require_sites(register, 3, "ghz_class")
     one = lambda t: np.array([np.cos(t), np.sin(t)], dtype=np.complex128)
-    prod = np.kron(np.kron(one(alpha), one(beta)), one(gamma))
+    prod = np.outer(np.outer(one(alpha), one(beta)), one(gamma)).reshape(-1)
     v = np.sin(delta) * np.exp(1j * phi) * prod
     v[0] += np.cos(delta)
     nrm = np.linalg.norm(v)
@@ -302,7 +303,7 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
         s1.register.sites + s2.register.sites,
         s1.register.parties + s2.register.parties,
     )
-    return PureState(reg, np.kron(s1.amplitudes, s2.amplitudes))
+    return PureState(reg, np.outer(s1.amplitudes, s2.amplitudes).reshape(-1))
 
 
 def _cut(s: PureState, rows: Sequence[int]) -> np.ndarray:

@@ -279,6 +279,22 @@ def test_edge_inputs_exit_cleanly(command, parties, tmp_path):
         json.dumps(json.loads(report.read_text()), allow_nan=False)
 
 
+@pytest.mark.parametrize("command", ["classify", "bound"])
+def test_overflowing_norm_is_one_plain_error_line(command, tmp_path):
+    # the squared amplitudes overflow: no numpy warning, and the norm reads
+    # as a plain float
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"sites": [{"label": 1, "party": "A"}], "amplitudes": [[1e308, 0], [1e308, 0]]}))
+    argv = [command, str(path)] + ([str(path)] if command == "bound" else [])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-m", "loccsim.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert "np.float64" not in run.stderr
+
+
 # inputs that fail where the file is read or decoded, before any check of ours
 UNREADABLE = {
     "binary": b"\xff",

@@ -3,24 +3,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loccsim import protocol
 from loccsim.convert import splitting_bound
 from loccsim.errors import (
+    LoccSimError,
     MalformedProtocol,
     NotAnEprResource,
     NotUnitary,
     SiteOwnership,
 )
-from loccsim.prebuilt import intro_teleport, prop3, prop3_input
+from loccsim.invariants import _tangle, _unfold
+from loccsim.prebuilt import ghz_plus_epr_to_any, intro_teleport, prop3, prop3_input
 from loccsim.protocol import (
     CNOT,
     PAULI_X,
     PAULI_Z,
+    BranchNode,
     Measure,
     Protocol,
     Target,
     Teleport,
     Unitary,
-    _check_teleport_sites,
+    _check_step,
+    _check_target,
+    _ghz_lu_success,
+    _leaf_success,
     apply_unitary,
     measure,
     run_protocol,
@@ -29,6 +36,7 @@ from loccsim.protocol import (
 from loccsim.states import (
     PureState,
     Register,
+    _cut,
     apply_site_ops,
     computational,
     epr,
@@ -205,7 +213,8 @@ def teleport_branches(s, source, epr_sites):
     """The reference ``teleport`` is checked against: all four Bell branches
     of the teleport as (outcome, probability, post-state), each with its
     correction applied."""
-    near, far = _check_teleport_sites(s, source, epr_sites)
+    teleport(s, source, epr_sites)  # for its checks of the sites and the pair
+    near, far = epr_sites
     ax_s = s.register.axis_of(source)
     ax_n = s.register.axis_of(near)
     reg = s.register.without([source, near])
@@ -365,6 +374,35 @@ def test_ghz_lu_target_factors_out_only_a_product_rest(kind, seed, data):
     sites = tuple(data.draw(st.permutations((1, 2, 3))))
     result = run_protocol(s, Protocol((), Target("ghz-lu", sites=sites)))
     assert result.success_probability == (1.0 if kind == "ghz" else 0.0)
+
+
+def svd_ghz_lu_success(leaf, sites):
+    """The ghz-lu leaf rule read through SVDs: the rest factors out, and the
+    triple's single-site spectra, from a stacked SVD, are flat."""
+    kept = tuple(x for x in leaf.register.sites if x in set(sites))
+    u, sv, _ = np.linalg.svd(_cut(leaf, kept), full_matrices=False)
+    if np.sum(sv**4) < 1.0 - 1e-9:
+        return False
+    triple = u[:, 0].reshape(2, 2, 2)
+    probs = np.linalg.svd(np.stack([_unfold(triple, m) for m in range(3)]), compute_uv=False) ** 2
+    return np.max(np.abs(probs - 0.5)) <= 1e-9 and abs(_tangle(triple) - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n_sites", [3, 5])
+def test_ghz_lu_leaf_rule_agrees_with_the_svd_rule(n_sites, seed):
+    # GHZ under random local unitaries succeeds; perturbed by 1e-6 it fails
+    rng = np.random.default_rng(seed)
+    s = ghz(ABC)
+    if n_sites == 5:
+        s = tensor(s, computational(Register.of([(4, "C"), (5, "A")]), "00"))
+    s = apply_site_ops(s, {x: haar_unitary(rng) for x in s.register.sites})
+    s = s.permuted(rng.permutation(s.register.sites))
+    noise = rng.normal(size=s.register.dim) + 1j * rng.normal(size=s.register.dim)
+    v = s.amplitudes + 1e-6 * noise / np.linalg.norm(noise)
+    bent = PureState(s.register, v / np.linalg.norm(v))
+    for leaf, want in ((s, True), (bent, False)):
+        assert _ghz_lu_success(leaf, (1, 2, 3)) == svd_ghz_lu_success(leaf, (1, 2, 3)) == want
 
 
 def test_when_pattern_skips_star_positions():
@@ -552,6 +590,101 @@ def test_random_data_protocols_run_or_name_their_step(steps):
         pass
     else:
         assert sum(leaf.prob for leaf in result.leaves()) == pytest.approx(1.0, abs=1e-9)
+
+
+def chained_tree(s, p):
+    """``run_protocol`` written as a chain of the public primitives: every
+    step and the target checked up front, then each branch calls
+    ``measure``, ``apply_unitary`` or ``teleport`` itself."""
+    live, measured = s.register.sites, 0
+    for i, step in enumerate(p.steps):
+        _check_step(step, s.register, live, measured, i)
+        if isinstance(step, Measure):
+            live = tuple(x for x in live if x != step.site)
+            measured += 1
+        elif isinstance(step, Teleport):
+            live = tuple(x for x in live if x not in (step.source, step.near))
+    _check_target(s, p.target, live)
+
+    def expand(state, record, prob, idx):
+        for j in range(idx, len(p.steps)):
+            step = p.steps[j]
+            if isinstance(step, Measure):
+                children = []
+                for outcome, pk, post in measure(state, step.party, step.site, step.basis):
+                    if step.accept in ("*", outcome):
+                        children.append(expand(post, record + outcome, prob * pk, j + 1))
+                    else:
+                        children.append(BranchNode(record + outcome, prob * pk, post, "failure"))
+                return BranchNode(record, prob, state, "internal", tuple(children))
+            if isinstance(step, Teleport):
+                state = teleport(state, step.source, (step.near, step.far))
+            elif step.when is None or all(w in ("*", r) for w, r in zip(step.when, record)):
+                state = apply_unitary(state, step.party, step.sites, step.matrix)
+        return BranchNode(record, prob, state, "success" if _leaf_success(state, p.target) else "failure")
+
+    return expand(s, "", 1.0, 0)
+
+
+def outcome(run):
+    try:
+        return run()
+    except LoccSimError as exc:
+        return type(exc)
+
+
+def assert_same_tree(got, want):
+    assert (got.record, got.status, len(got.children)) == (want.record, want.status, len(want.children))
+    assert got.prob == pytest.approx(want.prob, abs=1e-12)
+    assert got.state.register == want.state.register
+    assert np.allclose(got.state.amplitudes, want.state.amplitudes, rtol=0, atol=1e-12)
+    for g, w in zip(got.children, want.children):
+        assert_same_tree(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(data_steps(), max_size=5), st.sampled_from(((1, 2, 5), (1, 2, 3))))
+def test_run_equals_the_chained_primitives(steps, sites):
+    p = Protocol(tuple(steps), Target("ghz-lu", sites=sites))
+    got = outcome(lambda: run_protocol(W_EPR, p))
+    want = outcome(lambda: chained_tree(W_EPR, p))
+    if isinstance(want, BranchNode):
+        assert_same_tree(got, want)
+    else:
+        assert got is want
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [pytest.param(lambda: prop3(0.4), 3, id="prop3"), pytest.param(ghz_plus_epr_to_any, 4, id="ghz_plus_epr_to_any")],
+)
+def test_run_checks_each_step_once(build, n_steps, monkeypatch):
+    prepared, calls = build(), []
+
+    def counted(*args):
+        calls.append(args[0])
+        return _check_step(*args)
+
+    monkeypatch.setattr(protocol, "_check_step", counted)
+    prepared.run()
+    assert len(calls) == n_steps
+
+
+def test_resource_pair_is_tested_on_each_branch():
+    # site 1 (A) holds |+>, site 2 (A) holds |1>, sites 3 (A) and 4 (B) a
+    # resource pair; on outcome 1 alone the CNOT from site 2 spoils the pair
+    state = tensor(
+        PureState(Register.of([(1, "A"), (2, "A")]), np.array([0, 1, 0, 1]) / np.sqrt(2)),
+        epr(Register.of([(3, "A"), (4, "B")])),
+    )
+    target = Target("exact", state=computational(Register.of([(4, "B")]), "1"))
+    spoil = Unitary("A", (2, 3), CNOT, when="1")
+    steps = (Measure("A", 1, "Z"), spoil, Teleport(2, 3, 4))
+    with pytest.raises(NotAnEprResource):
+        run_protocol(state, Protocol(steps, target))
+    root = run_protocol(state, Protocol(tuple(x for x in steps if x is not spoil), target))
+    assert sum(leaf.prob for leaf in root.leaves()) == pytest.approx(1.0, abs=1e-12)
+    assert root.success_probability == pytest.approx(1.0, abs=1e-12)
 
 
 def test_success_bounded_by_splitting_bound():

@@ -224,6 +224,19 @@ def test_tensor_label_collision():
         tensor(ghz(ABC), epr(Register.of([(3, "B"), (4, "C")])))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_products_equal_the_kron_forms_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    left = random_state(rng, Register.of([(1, "A"), (2, "B")]))
+    right = random_state(rng, Register.of([(3, "C")]))
+    assert np.array_equal(tensor(left, right).amplitudes, np.kron(left.amplitudes, right.amplitudes))
+    delta, phi, *angles = rng.uniform(0.1, 1.4, size=5)
+    one = lambda t: np.array([np.cos(t), np.sin(t)], dtype=np.complex128)
+    v = np.sin(delta) * np.exp(1j * phi) * np.kron(np.kron(*map(one, angles[:2])), one(angles[2]))
+    v[0] += np.cos(delta)
+    assert np.array_equal(ghz_class(delta, phi, *angles, ABC).amplitudes, v / np.linalg.norm(v))
+
+
 def test_reduced_density_w_marginals():
     # each single-site reduction of the symmetric state has spectrum {2/3, 1/3}
     s = w_state(ABC)
