@@ -8,6 +8,7 @@ bound, and the minimum over splittings bounds any collective protocol.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -15,8 +16,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
-from .invariants import PartyTensor, ProbeConfig, product_term_estimate
-from .states import PureState, _cut, _Report
+from .invariants import PartyTensor, ProbeConfig, _party_axes, product_term_estimate
+from .states import PureState, _Report
 
 ZERO_TAIL = 1e-12
 
@@ -34,33 +35,41 @@ def _as_spectrum(x, name: str) -> np.ndarray:
     # one spectrum per row along the last axis, each checked; written so that
     # NaN entries fail the checks too
     if not (v.min(axis=-1) >= -1e-12).all():
-        raise NotAProbabilityVector(f"{name} has a negative or NaN entry ({v.min()!r})")
+        raise NotAProbabilityVector(f"{name} has a negative or NaN entry ({float(v.min())!r})")
     total = v.sum(axis=-1, keepdims=True)
     off = ~(abs(total - 1.0) <= 1e-9)
     if off.any():
-        raise NotAProbabilityVector(f"{name} sums to {total[off][0]!r}, not 1")
+        raise NotAProbabilityVector(f"{name} sums to {float(total[off][0])!r}, not 1")
     return np.maximum(v, 0.0)
 
 
-def vidal_probability(alpha, beta) -> float | np.ndarray:
-    """Optimal probability of converting spectrum ``alpha`` into ``beta``.
+def _tail_ratio(pair: np.ndarray) -> np.ndarray:
+    """Vidal's formula on ``pair = (alpha, beta)``, two stacks of nonincreasing
+    spectra of equal length along the last axis, each spectrum taken relative
+    to its total: ``min_l sum_{i>=l} alpha_i / sum_{i>=l} beta_i`` over tail
+    starts l, capped at 1, one value per row.  Tail starts where ``beta``'s
+    tail vanishes are skipped (their ratio is +inf or 0/0)."""
+    tails = pair[..., ::-1].cumsum(axis=-1)[..., ::-1]
+    tails_a, tails_b = tails / tails[..., :1]
+    live = tails_b >= ZERO_TAIL  # never empty: the first tail is 1
+    ratios = np.where(live, tails_a, np.inf) / np.where(live, tails_b, 1.0)
+    return np.minimum(ratios.min(axis=-1), 1.0)
 
-    ``P = min_l  sum_{i>=l} alpha_i / sum_{i>=l} beta_i`` over tail starts l,
-    after padding to a common length and sorting nonincreasing.  Tail starts
-    where ``beta``'s tail vanishes are skipped (their ratio is +inf or 0/0).
-    The result is clamped to [0, 1].  Two spectra give a float; spectra
-    stacked along the last axis give an array with one probability per row.
+
+def vidal_probability(alpha, beta) -> float | np.ndarray:
+    """Optimal probability of converting spectrum ``alpha`` into ``beta``:
+    the smallest tail-sum ratio ``sum_{i>=l} alpha_i / sum_{i>=l} beta_i``,
+    capped at 1 (``_tail_ratio``), after padding both to a common length and
+    sorting them nonincreasing.  Two spectra give a float; spectra stacked
+    along the last axis give an array with one probability per row.
     """
     a = _as_spectrum(alpha, "alpha")
     b = _as_spectrum(beta, "beta")
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (max(a.shape[-1], b.shape[-1]),)
-    tails = np.zeros((2, *shape))  # both spectra, sorted and zero-filled
-    for t, v in zip(tails, (a, b)):
+    pair = np.zeros((2, *shape))  # both spectra, sorted and zero-filled
+    for t, v in zip(pair, (a, b)):
         t[..., : v.shape[-1]] = np.sort(v, axis=-1)[..., ::-1]
-    tails_a, tails_b = np.cumsum(tails[..., ::-1], axis=-1)[..., ::-1]
-    live = tails_b >= ZERO_TAIL  # never empty: the first tail is 1
-    best = np.min(tails_a / np.where(live, tails_b, 1.0), axis=-1, where=live, initial=np.inf)
-    p = np.clip(best, 0.0, 1.0)
+    p = _tail_ratio(pair)
     return float(p) if p.ndim == 0 else p
 
 
@@ -80,7 +89,7 @@ def _compatible_registers(source: PureState, target: PureState) -> tuple[str, ..
     if len(ps) < 2:
         raise WrongArity(f"a conversion between parties needs two or more of them, got {ps}")
     for p in ps:
-        if len(source.register.sites_of([p])) != len(target.register.sites_of([p])):
+        if source.register.parties.count(p) != target.register.parties.count(p):
             raise RegisterMismatch(f"party {p} holds different site counts")
     return ps
 
@@ -109,19 +118,26 @@ def splitting_bound(source: PureState, target: PureState) -> ConversionBound:
     minimum does too.
     """
     parties = _compatible_registers(source, target)
-    cuts, n = splitting_cuts(parties), source.n_sites
+    # one axis per party, of the same dimension on both sides, so a cut is a
+    # transpose of party axes
+    tensors = [_party_axes(s)[1] for s in (source, target)]
+    shape, cuts = tensors[0].shape, splitting_cuts(parties)
     # a cut's spectrum is read from its smaller side (the singular values are
-    # the same either way), so the cuts with as many row sites share one SVD
-    groups: dict[int, list[tuple[str, tuple[str, ...]]]] = {}
+    # the same either way), so the cuts with as many rows share one SVD
+    groups: dict[int, list[tuple[str, list[int]]]] = {}
     for left, key in cuts:
-        k = len(source.register.sites_of(left))
-        rows = left if 2 * k <= n else tuple(p for p in parties if p not in left)
-        groups.setdefault(min(k, n - k), []).append((key, rows))
+        rows = [i for i, p in enumerate(parties) if p in left]
+        rest = [i for i in range(len(shape)) if i not in rows]
+        dim = math.prod(shape[i] for i in rows)
+        if dim**2 > tensors[0].size:
+            rows, rest, dim = rest, rows, tensors[0].size // dim
+        groups.setdefault(dim, []).append((key, rows + rest))
     per_cut: dict[str, float] = dict.fromkeys(key for _, key in cuts)
-    for group in groups.values():
-        mats = [_cut(s, s.register.sites_of(rows)) for _, rows in group for s in (source, target)]
-        spectra = np.linalg.svd(np.stack(mats), compute_uv=False) ** 2
-        per_cut.update(zip((key for key, _ in group), vidal_probability(spectra[0::2], spectra[1::2]).tolist()))
+    for dim, group in groups.items():
+        mats = np.stack([t.transpose(order).reshape(dim, -1) for t in tensors for _, order in group])
+        # squared singular values come nonincreasing, as the kernel takes them
+        spectra = np.linalg.svd(mats, compute_uv=False) ** 2
+        per_cut.update(zip((key for key, _ in group), _tail_ratio(spectra.reshape(2, len(group), -1)).tolist()))
     return ConversionBound(per_cut, min(per_cut.values()))
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolation, WrongArity
-from .states import NORM_TOL, RANK_TOL, PureState, _cut, _rank, _Report
+from .states import NORM_TOL, RANK_TOL, PureState, _rank, _Report
 
 CLASS_TOL = 1e-8
 # a fit whose residual is below FIT_TOL converged: it proves at most its rank
@@ -49,7 +49,7 @@ class PartyTensor:
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.complex128)
-        nrm = np.linalg.norm(d)
+        nrm = float(np.linalg.norm(d))
         # written so that a NaN norm fails the check too
         if not abs(nrm - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"party tensor norm {nrm!r} deviates from 1 by > {NORM_TOL}")
@@ -61,11 +61,7 @@ class PartyTensor:
 
     @classmethod
     def from_state(cls, s: PureState) -> "PartyTensor":
-        parties = s.register.party_labels()
-        site_groups = [s.register.sites_of([p]) for p in parties]
-        shape = tuple(2 ** len(grp) for grp in site_groups)
-        data = _cut(s, [x for grp in site_groups for x in grp]).reshape(shape)
-        return cls(parties, data)
+        return cls(*_party_axes(s))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,6 +70,15 @@ class PartyTensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+
+def _party_axes(s: PureState) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted party labels of ``s`` and its amplitudes with one axis per
+    party, in that order; within a party axis the bits of that party's sites
+    appear in register order, first site most significant."""
+    labels, parties = s.register.party_labels(), s.register.parties
+    order = sorted(range(len(parties)), key=parties.__getitem__)  # stable: register order within a party
+    return labels, s.tensor_view().transpose(order).reshape([2 ** parties.count(p) for p in labels])
 
 
 def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
@@ -89,7 +94,14 @@ def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
     The squared singular values are the eigenvalues of the corresponding
     single-party reduced density matrix.
     """
-    return tuple(_rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False)) for m in range(t.data.ndim))
+    ranks = {}
+    # a matricization's shape is set by its party's dimension; those of one
+    # shape share one stacked SVD
+    for d in set(t.shape):
+        modes = [m for m, other in enumerate(t.shape) if other == d]
+        sv = np.linalg.svd(np.stack([_unfold(t.data, m) for m in modes]), compute_uv=False)
+        ranks.update(zip(modes, _rank(sv).tolist()))
+    return tuple(ranks[m] for m in range(len(t.shape)))
 
 
 def three_tangle(s: PureState) -> float:
@@ -102,12 +114,14 @@ def three_tangle(s: PureState) -> float:
 def _tangle(t: np.ndarray) -> float:
     """``three_tangle`` of a unit-norm 2x2x2 array.
 
-    Computed as the discriminant of ``det(T0 + x T1)`` in ``x``, where ``T0``
-    and ``T1`` are the two slices along the first axis.
+    Computed as the discriminant of ``det(T0 + x T1) = d0 + mid x + d1 x^2``
+    in ``x``, where ``T0`` and ``T1`` are the two slices along the first axis,
+    from the eight amplitudes as Python complex numbers.
     """
-    d0 = np.linalg.det(t[0])
-    d1 = np.linalg.det(t[1])
-    mid = np.linalg.det(t[0] + t[1]) - d0 - d1
+    a000, a001, a010, a011, a100, a101, a110, a111 = t.reshape(-1).tolist()
+    d0 = a000 * a011 - a001 * a010
+    d1 = a100 * a111 - a101 * a110
+    mid = a000 * a111 + a011 * a100 - a001 * a110 - a010 * a101
     tau = 4.0 * abs(mid * mid - 4.0 * d0 * d1)
     return float(min(max(tau, 0.0), 1.0))
 

@@ -188,6 +188,8 @@ def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int,
                 f"site {x} belongs to {reg.party_of(x)!r}, not to the acting party {party!r}", step=i
             )
     if isinstance(step, Measure):
+        if live == (step.site,):
+            raise MalformedProtocol(f"measuring site {step.site} would leave no site to hold the state", step=i)
         rows = _resolve_basis(step.basis, i)
         if step.accept not in ("0", "1", "*"):
             raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
@@ -339,8 +341,7 @@ def _plan(s: PureState, steps: Sequence[Step]) -> tuple[list[tuple], tuple[int, 
     for i, step in enumerate(steps):
         args, gone = _resolve(step, reg, _check_step(step, s.register, live, measured, i))
         live = tuple(x for x in live if x not in gone)
-        # a protocol that leaves no site (no register) fails its target check
-        if gone and live:
+        if gone:
             reg = reg.without(gone)
         plan.append((step, args, reg))
         measured += isinstance(step, Measure)

@@ -178,7 +178,7 @@ class DensityMatrix:
         # every check is written so that NaN fails it
         if not np.max(np.abs(m - m.conj().T)) <= HERMITIAN_TOL:
             raise ConstraintViolation("density matrix is not Hermitian within 1e-12")
-        tr = np.trace(m).real
+        tr = float(np.trace(m).real)
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ConstraintViolation(f"density matrix trace {tr!r} deviates from 1")
         if not np.linalg.eigvalsh(m).min() >= -PSD_TOL:
@@ -190,15 +190,16 @@ class DensityMatrix:
         object.__setattr__(self, "sites", tuple(self.sites))
 
 
-def _rank(sv: np.ndarray, scale: float = 0.0) -> int:
+def _rank(sv: np.ndarray, scale: float = 0.0) -> int | np.ndarray:
     """The one rank rule: the number of singular values ``sv`` whose squares
-    exceed ``RANK_TOL`` times the square of ``max(scale, largest)``; 0 when
-    that is not positive.  ``scale`` bounds the largest singular value, so
-    against it a vanishing matrix has rank 0."""
-    top = max(scale, np.max(sv)) ** 2
-    if not top > 0:
-        return 0
-    return int(np.sum(sv**2 > RANK_TOL * top))
+    exceed ``RANK_TOL`` times the square of ``max(scale, largest)``, so 0 when
+    that is 0.  ``scale`` bounds the largest singular value, so against it a
+    vanishing matrix has rank 0.  Spectra stacked along the last axis give
+    an array with one rank per row."""
+    # fmax skips a NaN largest value, as the scale then decides
+    top = np.fmax(scale, sv.max(axis=-1, keepdims=True)) ** 2
+    ranks = (sv**2 > RANK_TOL * top).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +350,14 @@ def apply_site_ops(s: PureState, ops: Mapping[int, np.ndarray]) -> PureState:
     Operators need not be unitary (this is the SLOCC workhorse); a result with
     numerically zero norm raises DegenerateState.
     """
-    t = s.tensor_view()
+    v = s.amplitudes
     for site, op in ops.items():
         ax = s.register.axis_of(site)
         op = np.asarray(op, dtype=np.complex128)
         if op.shape != (2, 2):
             raise ConstraintViolation(f"site operator for {site} must be 2x2")
-        t = np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
-    v = t.reshape(-1)
+        # the operator acts on the middle axis of the (sites before, site, sites after) view
+        v = (op @ v.reshape(2**ax, 2, -1)).reshape(-1)
     nrm = np.linalg.norm(v)
     if nrm < 1e-12:
         raise DegenerateState("local operator annihilated the state")

@@ -14,6 +14,7 @@ from loccsim.cli import main
 from loccsim.errors import ParameterOutOfRange
 from loccsim.invariants import ProbeConfig
 from loccsim.states import (
+    PureState,
     Register,
     _sig12,
     computational,
@@ -101,6 +102,19 @@ def test_bound_w_to_ghz(w_file, ghz_file, tmp_path, capsys):
     assert set(doc["per_cut"]) == {"A|BC", "AB|C", "AC|B"}
     for value in doc["per_cut"].values():
         assert value == pytest.approx(2 / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_bound_takes_a_state_at_the_edge_of_the_norm_tolerance(side, w_file, ghz_file, tmp_path, capsys):
+    loose = tmp_path / "loose.json"
+    save_state(PureState(ABC, ghz(ABC).amplitudes * (1 + 0.9e-9)), loose)
+    bounds = []
+    for other in (str(loose), ghz_file):
+        report = tmp_path / "bound.json"
+        files = [other, w_file] if side == "source" else [w_file, other]
+        assert main(["bound", *files, "--json", str(report)]) == 0
+        bounds.append(json.loads(report.read_text())["bound"])
+    assert abs(bounds[0] - bounds[1]) <= 1e-9
 
 
 def test_bounds_hash_no_state(monkeypatch, tmp_path, capsys):

@@ -9,15 +9,16 @@ from loccsim import convert
 from loccsim.convert import (
     IMPOSSIBLE,
     UNDETERMINED,
+    _tail_ratio,
     catalysis_verdict,
     splitting_bound,
     splitting_cuts,
     vidal_probability,
 )
-from loccsim.errors import NotAProbabilityVector, RegisterMismatch, WrongArity
-from loccsim.invariants import ProductTermEstimate
+from loccsim.errors import LoccSimError, NotAProbabilityVector, RegisterMismatch, WrongArity
+from loccsim.invariants import PartyTensor, ProductTermEstimate
 from loccsim.prebuilt import bipartite_catalysis_pair, prop3_input, prop3_target
-from loccsim.states import PureState, Register, computational, epr, ghz, schmidt, tensor, w_state
+from loccsim.states import DensityMatrix, PureState, Register, computational, epr, ghz, schmidt, tensor, w_state
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
@@ -122,6 +123,33 @@ def test_vidal_rejects_a_stack_with_one_bad_row(bad, message, side):
         vidal_probability(*args)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 6), st.integers(0, 5))
+def test_vidal_equals_the_tail_ratio_on_sorted_spectra(seed, rows, n, zeros):
+    # on nonincreasing spectra of one length, nothing is left to sort or pad
+    rng = np.random.default_rng(seed)
+    alpha, beta = (-np.sort(-_stack(rng, rows, n, min(zeros, n - 1)), axis=1) for _ in range(2))
+    assert vidal_probability(alpha, beta).tolist() == _tail_ratio(np.stack([alpha, beta])).tolist()
+    assert vidal_probability(alpha[0], beta[0]) == float(_tail_ratio(np.stack([alpha[0], beta[0]])))
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: vidal_probability([1.1, -0.1], [0.5, 0.5]), "(-0.1)"),
+        (lambda: vidal_probability([0.5, 0.5], [0.75, 0.5]), "sums to 1.25,"),
+        (lambda: PartyTensor(("A", "B"), np.diag([2.0, 0.0])), "norm 2.0 "),
+        (lambda: DensityMatrix(("A",), np.eye(2)), "trace 2.0 "),
+    ],
+    ids=["spectrum entry", "spectrum sum", "party tensor norm", "density trace"],
+)
+def test_error_text_shows_plain_floats(make, shown):
+    with pytest.raises(LoccSimError) as exc:
+        make()
+    assert shown in str(exc.value)
+    assert "np.float64" not in str(exc.value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spectra())
 def test_vidal_self_conversion_is_certain(alpha):
@@ -210,6 +238,19 @@ def test_bound_register_mismatch():
     )
     with pytest.raises(RegisterMismatch):
         splitting_bound(src, lopsided)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_bound_takes_a_state_at_the_edge_of_the_norm_tolerance(side):
+    # a norm of 1 + 0.9e-9 passes PureState, and its spectra sum to
+    # 1 + 1.8e-9; the bound is that of the normalized state
+    loose = PureState(ABC, ghz(ABC).amplitudes * (1 + 0.9e-9))
+    pairs = [(loose, w_state(ABC)), (ghz(ABC), w_state(ABC))]
+    if side == "target":
+        pairs = [pair[::-1] for pair in pairs]
+    got, want = (splitting_bound(*pair) for pair in pairs)
+    assert abs(got.bound - want.bound) <= 1e-9
+    assert all(abs(got.per_cut[key] - value) <= 1e-9 for key, value in want.per_cut.items())
 
 
 def test_one_party_states_are_rejected():

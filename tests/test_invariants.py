@@ -24,6 +24,7 @@ from loccsim.invariants import (
     ProductTermEstimate,
     RankProbeResult,
     SloccClass,
+    _unfold,
     cp_rank_probe,
     flattening_ranks,
     product_term_estimate,
@@ -179,6 +180,19 @@ def test_flattening_ranks_match_reduced_densities():
         assert ranks == tuple(direct) == (2, 4, 4)
 
 
+@pytest.mark.parametrize("shape, calls", [((2, 2, 2), 1), ((4, 4, 4), 1), ((2, 4, 4), 2)], ids=["2x2x2", "4x4x4", "2x4x4"])
+def test_flattening_ranks_take_one_svd_per_unfolding_shape(shape, calls, monkeypatch):
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    t = PartyTensor(("A", "B", "C"), data / np.linalg.norm(data))
+    svd, seen = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.shape) or svd(a, **kw))
+    ranks = flattening_ranks(t)
+    assert len(seen) == calls
+    # each rank as one SVD of its own matricization gives it
+    assert ranks == tuple(_rank(svd(_unfold(t.data, m), compute_uv=False)) for m in range(3)) == shape
+
+
 def test_flattening_ranks_product_state():
     assert flattening_ranks(PartyTensor.from_state(computational(ABC, "000"))) == (1, 1, 1)
 
@@ -201,6 +215,14 @@ def test_tangle_agrees_with_monomial_oracle():
     for _ in range(200):
         s = random_state(rng)
         assert three_tangle(s) == pytest.approx(tangle_oracle(s), abs=1e-12)
+    # states with a zero slice along each axis, where a determinant vanishes
+    for axis in range(3):
+        for k in range(2):
+            for _ in range(20):
+                t = random_state(rng).tensor_view().copy()
+                np.moveaxis(t, axis, 0)[k] = 0.0
+                s = PureState(ABC, t.reshape(-1) / np.linalg.norm(t))
+                assert three_tangle(s) == pytest.approx(tangle_oracle(s), abs=1e-12)
 
 
 def test_tangle_unitary_invariance():

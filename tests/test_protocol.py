@@ -13,7 +13,7 @@ from loccsim.errors import (
     SiteOwnership,
 )
 from loccsim.invariants import _tangle, _unfold
-from loccsim.prebuilt import ghz_plus_epr_to_any, intro_teleport, prop3, prop3_input
+from loccsim.prebuilt import ghz_plus_epr_to_any, prop3, prop3_b, prop3_c, prop3_input
 from loccsim.protocol import (
     CNOT,
     PAULI_X,
@@ -109,6 +109,18 @@ def test_measure_ownership_and_basis_errors():
         measure(ghz(ABC), "A", 1, np.array([[1, 1], [1, 1]]) / np.sqrt(2))
     with pytest.raises(NotUnitary):
         measure(ghz(ABC), "A", 1, np.array([[np.nan, 0], [0, 1]]))
+
+
+def test_measuring_the_last_site_is_a_malformed_step():
+    # a state lives on one site at least: the primitive and a run both reject
+    # the measurement that would take the last one, at that step
+    with pytest.raises(MalformedProtocol, match="would leave no site") as exc:
+        measure(computational(Register.of([(1, "A")]), "0"), "A", 1)
+    assert exc.value.step is None
+    steps = (Measure("A", 1), Measure("B", 2))
+    with pytest.raises(MalformedProtocol, match="would leave no site") as exc:
+        run_protocol(computational(AB, "01"), Protocol(steps, Target("exact", computational(AB, "01"))))
+    assert exc.value.step == 1
 
 
 # ---------------------------------------------------------------------------
@@ -687,11 +699,34 @@ def test_resource_pair_is_tested_on_each_branch():
     assert root.success_probability == pytest.approx(1.0, abs=1e-12)
 
 
-def test_success_bounded_by_splitting_bound():
-    # cross-module check on an exact-mode protocol
-    prepared = intro_teleport()
-    result = run_protocol(prepared.state, prepared.protocol)
-    assert result.success_probability <= 1.0 + 1e-9
+def _padded_target(prepared) -> PureState:
+    # the maximally entangled triple on the target sites, every measured site
+    # in |0>, on the input register (prop3_target for prop3)
+    reg = prepared.state.register
+    amps = np.zeros(reg.dim, dtype=np.complex128)
+    ones = sum(1 << (reg.n_sites - 1 - reg.axis_of(x)) for x in prepared.protocol.target.sites)
+    amps[0] = amps[ones] = 1 / np.sqrt(2)
+    return PureState(reg, amps)
+
+
+PAIR_CONVERSIONS = {
+    "prop3 BC": lambda x: prop3(x, "BC"),
+    "prop3 AC": lambda x: prop3(x, "AC"),
+    "prop3_b": prop3_b,
+    "prop3_c": prop3_c,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(PAIR_CONVERSIONS)), st.floats(min_value=1 / 3, max_value=0.5, exclude_max=True))
+def test_pair_conversions_meet_the_splitting_bound(name, x):
+    # each one-pair conversion succeeds with 2x, and no protocol beats the
+    # splitting bound against its final state, which is 2x too
+    prepared = PAIR_CONVERSIONS[name](x)
+    p = prepared.run().success_probability
+    bound = splitting_bound(prepared.state, _padded_target(prepared)).bound
+    assert p <= bound + 1e-12
+    assert abs(bound - 2 * x) <= 1e-9
 
 
 @settings(max_examples=20, deadline=None)

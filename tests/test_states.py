@@ -314,6 +314,28 @@ def test_rank_matches_the_squared_weight_rule(rows, cols, rank, decay, magnitude
         assert _rank(sv) == _rank(sv, scale) == 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+    length=st.integers(1, 6),
+    scale=st.just(0.0) | st.floats(0.5, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_rank_equals_the_rank_of_each_row(shape, length, scale, seed):
+    # rows of nonincreasing spectra, some rank-deficient: trailing zeros,
+    # values near the cut, or all zero
+    rng = np.random.default_rng(seed)
+    sv = -np.sort(-rng.random((*shape, length)), axis=-1)
+    sv *= 10.0 ** (-5.0 * rng.integers(0, 3, size=sv.shape))
+    sv[rng.random(sv.shape) < 0.3] = 0.0
+    sv = -np.sort(-sv, axis=-1)
+    stacked = _rank(sv, scale)
+    assert stacked.shape == tuple(shape)
+    rows = sv.reshape(-1, length)
+    assert stacked.reshape(-1).tolist() == [_rank(row, scale) for row in rows]
+    assert all(type(_rank(row, scale)) is int for row in rows)
+
+
 # ---------------------------------------------------------------------------
 # schmidt data
 
@@ -364,6 +386,28 @@ def test_schmidt_properties_random(seed):
 
 # ---------------------------------------------------------------------------
 # local operators
+
+
+def _tensordot_site_ops(s, ops):
+    # reference: one tensordot per site, the operator's output axis moved
+    # back into the site's place
+    t = s.tensor_view()
+    for site, op in ops.items():
+        ax = s.register.axis_of(site)
+        t = np.moveaxis(np.tensordot(op, t, axes=([1], [ax])), 0, ax)
+    v = t.reshape(-1)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_apply_site_ops_matches_the_tensordot_reference(n):
+    rng = np.random.default_rng(n)
+    reg = Register(tuple(range(10, 10 + n)), tuple("AB"[k % 2] for k in range(n)))
+    s = random_state(rng, reg)
+    op = lambda: rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    cases = [{site: op()} for site in reg.sites] + [{site: op() for site in reg.sites[::-1]}]
+    for ops in cases:
+        assert np.max(np.abs(apply_site_ops(s, ops).amplitudes - _tensordot_site_ops(s, ops))) <= 1e-12
 
 
 def test_apply_site_ops_bit_flip():
