@@ -13,9 +13,16 @@ an interrupted series keeps the pairs it finished; a file that exists keeps
 its other workloads.  At the end each end-to-end metric is printed, and
 stored under ``workloads.W.summary``, with each side's median and quartiles
 (``statistics.quantiles(n=4)``) and the number of pairs in which the change
-read lower.  A gain is shown when the change reads lower in at least nine
-tenths of the pairs and the medians differ by more than the parent's
-interquartile spread.
+read lower.  Each metric's ``gain_shown`` applies the rule for claiming a
+gain: at least ten pairs, the change reads lower in at least nine tenths
+of them, and the medians differ by more than the parent's interquartile
+spread.  Its
+``vs_bound`` compares the change's median with the parent's against the
+metric's bound in the parent tree's ``BENCHMARK.json``, which is only read:
+"worse" when it is higher by more than that fraction of the parent's
+median, "unresolved" when the parent's own interquartile spread exceeds
+that fraction and not every change run reads lower than every parent run,
+and "within" otherwise.
 
 Only the standard library is used, and nothing in either tree changes
 except its ``.bench_out/`` run records.
@@ -32,6 +39,7 @@ from pathlib import Path
 
 SECONDS = 25
 METRICS = ("setup_s", "wall_s", "job_p50_ms", "job_tail_ms", "peak_rss_mb")
+MIN_PAIRS = 10  # the fewest pairs on which a gain may be claimed
 
 
 def run_once(tree: Path, workload: str, seed: int) -> dict:
@@ -59,19 +67,41 @@ def quartiles(xs: list[float]) -> list[float]:
     return [round(first, 6), round(third, 6)]
 
 
-def summarize(runs: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs in which
-    the change read lower (a tie counts for neither side)."""
+def bounds_of(tree: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound in the ``BENCHMARK.json`` of ``tree``:
+    the fraction of the parent's median by which it may read higher."""
+    doc = json.loads((tree / "BENCHMARK.json").read_text())
+    return {row["name"]: row["bound"] for row in doc["end_to_end"]}
+
+
+def summarize(runs: dict, bounds: dict[str, float]) -> dict:
+    """Per metric: each side's median and quartiles, the pairs in which the
+    change read lower (a tie counts for neither side), whether that shows a
+    gain, and how the change's median stands against the metric's bound
+    (None for a metric without one)."""
     summary = {}
     for name in METRICS:
         parent = [pair["parent"][name] for pair in runs.values()]
         change = [pair["change"][name] for pair in runs.values()]
+        p_med, c_med = statistics.median(parent), statistics.median(change)
+        p_q = quartiles(parent)
+        lower = sum(c < p for p, c in zip(parent, change))
+        vs_bound = None
+        if name in bounds:
+            bound = bounds[name] * p_med
+            if p_q[1] - p_q[0] > bound and max(change) >= min(parent):
+                vs_bound = "unresolved"
+            else:
+                vs_bound = "worse" if c_med - p_med > bound else "within"
         summary[name] = {
-            "parent_median": round(statistics.median(parent), 6),
-            "parent_quartiles": quartiles(parent),
-            "change_median": round(statistics.median(change), 6),
+            "parent_median": round(p_med, 6),
+            "parent_quartiles": p_q,
+            "change_median": round(c_med, 6),
             "change_quartiles": quartiles(change),
-            "change_lower_in": f"{sum(c < p for p, c in zip(parent, change))}/{len(runs)}",
+            "change_lower_in": f"{lower}/{len(runs)}",
+            "gain_shown": (len(runs) >= MIN_PAIRS and 10 * lower >= 9 * len(runs)
+                           and p_med - c_med > p_q[1] - p_q[0]),
+            "vs_bound": vs_bound,
         }
     return summary
 
@@ -92,6 +122,7 @@ def main() -> int:
     for side, tree in trees.items():
         if not (tree / "benchmarks" / "run.py").is_file():
             ap.error(f"{side} tree {tree} has no benchmarks/run.py")
+    bounds = bounds_of(trees["parent"])
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("what", args.what)
@@ -113,13 +144,14 @@ def main() -> int:
             f"{side} job_p50_ms {pair[side]['job_p50_ms']:.4f} ({'correct' if pair[side]['correct'] else 'WRONG'}, "
             f"{pair[side]['failed']} failed)" for side in ("parent", "change")), flush=True)
         entry["pairs"] = len(runs)
-        entry["summary"] = summarize(runs)
+        entry["summary"] = summarize(runs, bounds)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
-    print(f"{args.workload}: {len(runs)} pairs, median [quartiles], change lower in")
+    print(f"{args.workload}: {len(runs)} pairs, median [quartiles], change lower in, gain shown, against the bound")
     for name, row in entry["summary"].items():
         print(f"  {name:<12} parent {row['parent_median']:.6g} {row['parent_quartiles']}  "
-              f"change {row['change_median']:.6g} {row['change_quartiles']}  {row['change_lower_in']}")
+              f"change {row['change_median']:.6g} {row['change_quartiles']}  {row['change_lower_in']}  "
+              f"{'gain' if row['gain_shown'] else 'no gain'}  {row['vs_bound']}")
     return 0
 
 

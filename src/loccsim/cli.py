@@ -12,8 +12,8 @@ on parse or usage errors and unreadable or unwritable files, 3 when
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
 import sys
 
 import numpy as np
@@ -31,7 +31,7 @@ from .prebuilt import (
 )
 from .protocol import BranchNode
 from .protofile import _to_float, parse_protocol_file
-from .states import _doc, load_state, schmidt, state_to_dict
+from .states import ReportFile, _doc, load_state, schmidt, state_to_dict
 
 OPTIMALITY_TOL = 1e-9
 
@@ -261,19 +261,16 @@ _PARSER = _build_parser()
 
 
 def main(argv=None) -> int:
-    made = None  # a report file this call created, removed unless the command succeeds
     try:
         args = _PARSER.parse_args(argv)
-        if args.json:
-            existed = os.path.exists(args.json)
-            open(args.json, "a").close()  # an unwritable path fails before the command; truncates nothing
-            made = None if existed else args.json
-        code, doc = args.func(args)
-        made = None
-        if args.json:
-            with open(args.json, "w") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+        # the report path is opened before the command runs, so an unwritable
+        # one fails first; a failed command leaves it as it was
+        with ReportFile(args.json) if args.json else contextlib.nullcontext() as report:
+            code, doc = args.func(args)
+            if report:
+                text = json.dumps(doc, indent=2) + "\n"
+                sys.stdout.flush()  # a report sent to standard output follows the table
+                report.write(text)
         return code
     except (_UsageError, ParseError, SemanticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -281,9 +278,6 @@ def main(argv=None) -> int:
     except LoccSimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if made:
-            os.remove(made)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Sequence
 
@@ -155,7 +157,9 @@ class PureState:
     def fingerprint(self) -> str:
         h = hashlib.sha1()
         h.update(repr(self.register).encode())
-        h.update(np.round(self.amplitudes, 12).tobytes())
+        # adding 0.0 turns a negative zero, also one rounded from -1e-13,
+        # into zero, so one state has one fingerprint
+        h.update((np.round(self.amplitudes, 12).view(np.float64) + 0.0).tobytes())
         return f"q{self.n_sites}:{h.hexdigest()[:10]}"
 
 
@@ -424,9 +428,53 @@ def state_from_dict(d: Mapping) -> PureState:
     return PureState(register, np.array(amps))
 
 
+class ReportFile:
+    """A report path, opened once and rewritten in place.
+
+    Opening an existing path neither truncates nor creates it, so a path
+    that cannot be written fails before any work and one that exists keeps
+    its bytes until ``write``.  ``write`` puts the text at the start of the
+    file in one call, then cuts a regular file to its length; a special file
+    such as ``/dev/null``, or a pipe behind ``/dev/stdout``, is not cut.
+    Closed unwritten, a file that opening created is removed again.
+    Rewriting in place frees no blocks, which truncating on open or
+    replacing the file by a rename would.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        try:
+            self._fd, self._made = os.open(path, os.O_WRONLY), False
+        except FileNotFoundError:
+            self._fd, self._made = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), True
+
+    def write(self, text: str) -> None:
+        data = memoryview(text.encode())
+        size = len(data)
+        while data:  # one call, unless the write is cut short
+            data = data[os.write(self._fd, data) :]
+        if stat.S_ISREG(os.fstat(self._fd).st_mode):
+            os.ftruncate(self._fd, size)
+        self._made = False
+
+    def close(self) -> None:
+        os.close(self._fd)
+        if self._made:
+            os.remove(self.path)
+
+    def __enter__(self) -> "ReportFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def save_state(s: PureState, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(state_to_dict(s), fh, indent=1)
+    """Write ``s`` to ``path`` as a state document (``state_to_dict``,
+    indent 1, no trailing newline), rewriting the file in place."""
+    text = json.dumps(state_to_dict(s), indent=1)
+    with ReportFile(path) as fh:
+        fh.write(text)
 
 
 def load_state(path) -> PureState:

@@ -555,13 +555,46 @@ def test_unwritable_report_fails_before_the_command_runs(capsys):
 
 def test_failed_command_leaves_report_paths_as_they_were(tmp_path, capsys):
     made, kept = tmp_path / "made.json", tmp_path / "kept.json"
-    kept.write_text("earlier report\n")
+    # longer than the report, so that a report written over it must cut it
+    earlier = b"earlier report\n" * 2000
+    kept.write_bytes(earlier)
     for report in (made, kept):
         assert main(["demo", "prop3", "0.2", "--json", str(report)]) == 1
     assert not made.exists()
-    assert kept.read_text() == "earlier report\n"
+    assert kept.read_bytes() == earlier
     assert main(["demo", "prop3", "0.4", "--json", str(kept)]) == 0
     assert json.loads(kept.read_text())["demo"] == "prop3"
+
+
+def test_report_that_cannot_encode_touches_no_file(tmp_path, monkeypatch, capsys):
+    # the report is encoded before a byte of it is written
+    monkeypatch.setattr(cli, "state_to_dict", lambda s: {"amplitudes": object()})
+    made, kept = tmp_path / "made.json", tmp_path / "kept.json"
+    kept.write_bytes(b"earlier report\n")
+    for report in (made, kept):
+        with pytest.raises(TypeError):
+            main(["classify", str(GOLDEN / "ghz.json"), "--json", str(report)])
+    assert not made.exists()
+    assert kept.read_bytes() == b"earlier report\n"
+
+
+def test_report_to_dev_null(capsys):
+    assert main(["demo", "intro", "--json", os.devnull]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "demo_intro.out").read_text()
+
+
+def test_report_to_stdout_through_a_pipe_follows_the_table():
+    # a special file is written and not cut; the table is flushed first, so
+    # the report ends the output also when standard output is block-buffered
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    run = subprocess.run(
+        [sys.executable, "-m", "loccsim.cli", "demo", "intro", "--json", "/dev/stdout"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (run.returncode, run.stderr) == (0, "")
+    table, report = ((GOLDEN / f"demo_intro.{ext}").read_text() for ext in ("out", "json"))
+    assert run.stdout == table + report
 
 
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
@@ -614,9 +647,14 @@ GOLDEN_EXIT = {"verdict_rank_increase": 3}
 def test_golden_reports(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(REPO)
     report = tmp_path / "report.json"
-    assert main([*GOLDEN_CASES[name], "--json", str(report)]) == GOLDEN_EXIT.get(name, 0)
-    assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
-    assert report.read_text() == (GOLDEN / f"{name}.json").read_text()
+    golden = (GOLDEN / f"{name}.json").read_bytes()
+    # the report path absent, holding a longer file and holding a shorter one
+    for before in (None, golden + b" stale" * 1000, b"{}"):
+        if before is not None:
+            report.write_bytes(before)
+        assert main([*GOLDEN_CASES[name], "--json", str(report)]) == GOLDEN_EXIT.get(name, 0)
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+        assert report.read_bytes() == golden
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES) + ["classify_ghz_class"])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loccsim import protocol
@@ -13,7 +13,15 @@ from loccsim.errors import (
     SiteOwnership,
 )
 from loccsim.invariants import _tangle, _unfold
-from loccsim.prebuilt import ghz_plus_epr_to_any, prop3, prop3_b, prop3_c, prop3_input
+from loccsim.prebuilt import (
+    ghz_plus_epr_to_any,
+    ghz_to_epr,
+    intro_teleport,
+    prop3,
+    prop3_b,
+    prop3_c,
+    prop3_input,
+)
 from loccsim.protocol import (
     CNOT,
     PAULI_X,
@@ -727,6 +735,33 @@ def test_pair_conversions_meet_the_splitting_bound(name, x):
     bound = splitting_bound(prepared.state, _padded_target(prepared)).bound
     assert p <= bound + 1e-12
     assert abs(bound - 2 * x) <= 1e-9
+
+
+def _padded_exact_target(prepared) -> PureState:
+    # the exact target with every site the steps consume in |0>, each kept by
+    # its owner in the input register, so the parties hold as many sites on
+    # both sides; the target check makes the target's sites the survivors
+    reg, kept = prepared.state.register, prepared.protocol.target.state.register
+    gone = Register.of([(x, p) for x, p in zip(reg.sites, reg.parties) if x not in kept.sites])
+    return tensor(prepared.protocol.target.state, computational(gone, "0" * gone.n_sites))
+
+
+@pytest.mark.parametrize("build", [intro_teleport, ghz_to_epr], ids=["intro_teleport", "ghz_to_epr"])
+def test_exact_target_builders_meet_the_splitting_bound(build):
+    prepared = build()
+    p = prepared.run().success_probability
+    assert p <= splitting_bound(prepared.state, _padded_exact_target(prepared)).bound + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(min_value=-1, max_value=1), min_size=16, max_size=16))
+def test_ghz_plus_epr_to_any_meets_the_splitting_bound(parts):
+    amps = np.array(parts[:8]) + 1j * np.array(parts[8:])
+    nrm = np.linalg.norm(amps)
+    assume(nrm > 1e-3)
+    prepared = ghz_plus_epr_to_any(PureState(ABC, amps / nrm))
+    p = prepared.run().success_probability
+    assert p <= splitting_bound(prepared.state, _padded_exact_target(prepared)).bound + 1e-12
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loccsim import states
 from loccsim.errors import (
     ConstraintViolation,
     DegenerateState,
@@ -22,7 +25,9 @@ from loccsim.states import (
     epr,
     ghz,
     ghz_class,
+    load_state,
     reduced_density_sites,
+    save_state,
     schmidt,
     state_from_dict,
     state_to_dict,
@@ -126,6 +131,20 @@ def test_overlap_and_phase_blind_compare():
     assert s.is_close(t)
     with pytest.raises(RegisterMismatch):
         s.overlap(epr(Register.of([(1, "A"), (2, "B")])))
+
+
+@pytest.mark.parametrize("part", [-0.0, 1e-13, -1e-13])
+def test_a_signed_zero_leaves_the_fingerprint_as_it_was(part):
+    # a part that rounds to zero, of either sign, is zero to the fingerprint
+    base = ghz(ABC)
+    for k in (0, 5, 7):
+        amps = base.amplitudes.copy()
+        amps[k] = complex(amps[k].real, part)
+        assert PureState(ABC, amps).fingerprint() == base.fingerprint()
+    amps = base.amplitudes.copy()
+    amps[3] = complex(part, 0.0)
+    assert PureState(ABC, amps).fingerprint() == base.fingerprint()
+    assert ghz(ABC).fingerprint() != w_state(ABC).fingerprint()
 
 
 def test_permuted_roundtrip():
@@ -476,6 +495,30 @@ def test_state_from_dict_rejects_coerced_sites(label, party):
     doc["sites"][0] = {"label": label, "party": party}
     with pytest.raises(ConstraintViolation, match="must be an integer and a string"):
         state_from_dict(doc)
+
+
+def test_save_state_over_a_longer_file_loads_back_bit_for_bit(tmp_path):
+    rng = np.random.default_rng(27)
+    s = random_state(rng, ABC)
+    path = tmp_path / "state.json"
+    path.write_bytes(b"x" * 10_000)
+    save_state(s, path)
+    assert path.read_text() == json.dumps(state_to_dict(s), indent=1)  # no trailing newline
+    back = load_state(path)
+    assert back.register == s.register
+    assert np.array_equal(back.amplitudes, s.amplitudes)
+
+
+def test_save_state_that_cannot_encode_touches_no_file(tmp_path, monkeypatch):
+    # the document is encoded before the path is opened
+    monkeypatch.setattr(states, "state_to_dict", lambda s: {"amplitudes": object()})
+    kept, made = tmp_path / "kept.json", tmp_path / "made.json"
+    kept.write_bytes(b"earlier state")
+    for path in (kept, made):
+        with pytest.raises(TypeError):
+            save_state(ghz(ABC), path)
+    assert kept.read_bytes() == b"earlier state"
+    assert not made.exists()
 
 
 def test_state_from_dict_malformed():
