@@ -22,7 +22,9 @@ metric's bound in the parent tree's ``BENCHMARK.json``, which is only read:
 "worse" when it is higher by more than that fraction of the parent's
 median, "unresolved" when the parent's own interquartile spread exceeds
 that fraction and not every change run reads lower than every parent run,
-and "within" otherwise.
+and "within" otherwise.  Beside ``peak_rss_mb`` each side's median passes
+and median peak RSS per pass are printed and stored, as the worker keeps
+what every pass made, so more passes in the same time raise the RSS alone.
 
 Only the standard library is used, and nothing in either tree changes
 except its ``.bench_out/`` run records.
@@ -103,6 +105,11 @@ def summarize(runs: dict, bounds: dict[str, float]) -> dict:
                            and p_med - c_med > p_q[1] - p_q[0]),
             "vs_bound": vs_bound,
         }
+    for side in ("parent", "change"):
+        sides = [pair[side] for pair in runs.values()]
+        summary["peak_rss_mb"][f"{side}_passes"] = statistics.median(run["passes"] for run in sides)
+        summary["peak_rss_mb"][f"{side}_mb_per_pass"] = round(
+            statistics.median(run["peak_rss_mb"] / run["passes"] for run in sides), 6)
     return summary
 
 
@@ -152,6 +159,9 @@ def main() -> int:
         print(f"  {name:<12} parent {row['parent_median']:.6g} {row['parent_quartiles']}  "
               f"change {row['change_median']:.6g} {row['change_quartiles']}  {row['change_lower_in']}  "
               f"{'gain' if row['gain_shown'] else 'no gain'}  {row['vs_bound']}")
+    rss = entry["summary"]["peak_rss_mb"]
+    print(f"  {'passes':<12} parent {rss['parent_passes']:g} ({rss['parent_mb_per_pass']:.4g} MB a pass)  "
+          f"change {rss['change_passes']:g} ({rss['change_mb_per_pass']:.4g} MB a pass)")
     return 0
 
 

@@ -4,16 +4,19 @@ and teleportation over shared maximally entangled pairs.
 Measured qubits leave the register, so post-measurement states live on the
 remaining sites.  Teleportation is collapsed to its deterministic net effect
 (the far site takes over the source qubit's role).  Every step is plain
-data, so a run checks each step once, with ``_check_step``, and plans it on
-the register it meets before any branch runs.  Branches then run array
-kernels, which the primitives (``measure``, ``apply_unitary``, ``teleport``)
-call after the same ``_check_step``; per branch only a teleport's test that
-its pair holds the resource state runs, as that depends on the branch.
+data, checked with ``_check_step`` and planned on its register before any
+branch runs; the last ``PLAN_MEMO_SIZE`` plans that passed are kept by the
+value of every field the check reads, so the same steps on the same register
+are checked once.  Branches run array kernels, which the primitives
+(``measure``, ``apply_unitary``, ``teleport``) call after the same check;
+per branch only a teleport's test that its pair holds the resource state
+runs, as that depends on the branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -31,11 +34,13 @@ BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
 EPR_TOL = 1e-9
 SUCCESS_TOL = 1e-9
+PLAN_MEMO_SIZE = 64  # plans kept, first in first out
 
 _SQ2 = np.sqrt(2.0)
 
 BASIS_Z = np.eye(2, dtype=np.complex128)
 BASIS_X = np.array([[1, 1], [1, -1]], dtype=np.complex128) / _SQ2
+_NAMED_BASES = {"Z": BASIS_Z, "X": BASIS_X}
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -130,9 +135,9 @@ class PreparedProtocol(NamedTuple):
 
 
 def _checked_unitary(matrix, k: int, step, what: str = "matrix") -> np.ndarray:
-    """``matrix`` as a complex array, checked to be a unitary on ``k`` qubits;
-    ``step`` goes into the NotUnitary raised otherwise."""
-    u = np.asarray(matrix, dtype=np.complex128)
+    """``matrix`` as a complex array of its own, checked to be a unitary on
+    ``k`` qubits; ``step`` goes into the NotUnitary raised otherwise."""
+    u = np.array(matrix, dtype=np.complex128)
     if u.shape != (2**k, 2**k):
         raise NotUnitary(f"{what} shape {u.shape} does not act on {k} qubits", step=step)
     # written so that a NaN entry fails the check
@@ -143,13 +148,11 @@ def _checked_unitary(matrix, k: int, step, what: str = "matrix") -> np.ndarray:
 
 def _resolve_basis(basis, step) -> np.ndarray:
     """The outcome bras of a basis name (Z or X) or a 2x2 unitary."""
-    if isinstance(basis, str):
-        if basis.upper() == "Z":
-            return BASIS_Z
-        if basis.upper() == "X":
-            return BASIS_X
+    if not isinstance(basis, str):
+        return _checked_unitary(basis, 1, step, "measurement basis")
+    if basis.upper() not in _NAMED_BASES:
         raise NotUnitary(f"unknown basis name {basis!r}", step=step)
-    return _checked_unitary(basis, 1, step, "measurement basis")
+    return _NAMED_BASES[basis.upper()]
 
 
 def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int, i=None):
@@ -197,15 +200,9 @@ def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int,
     if isinstance(step, Unitary):
         u = _checked_unitary(step.matrix, len(sites), i)
         when = step.when
-        if when is not None and (
-            not isinstance(when, str) or len(when) != measured or set(when) - set("01*")
-        ):
-            raise MalformedProtocol(
-                f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}",
-                step=i,
-            )
+        if when is not None and not (isinstance(when, str) and len(when) == measured and set(when) <= set("01*")):
+            raise MalformedProtocol(f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}", step=i)
         return u
-    return None
 
 
 def _resolve(step: Step, reg: Register, checked) -> tuple[tuple, tuple[int, ...]]:
@@ -214,10 +211,16 @@ def _resolve(step: Step, reg: Register, checked) -> tuple[tuple, tuple[int, ...]
     if isinstance(step, Measure):
         ax = reg.axis_of(step.site)
         return ((2**ax, 2, 2 ** (reg.n_sites - ax - 1)), checked), (step.site,)
+
+    def front(*sites: int) -> tuple[int, ...]:
+        axes = tuple(reg.axis_of(x) for x in sites)
+        return axes + tuple(a for a in range(reg.n_sites) if a not in axes)
+
+    shape = (2,) * reg.n_sites
     if isinstance(step, Unitary):
-        axes = tuple(reg.axis_of(x) for x in step.sites)
-        return (checked.reshape((2,) * (2 * len(axes))), axes), ()
-    return tuple(reg.axis_of(x) for x in (step.source, step.near, step.far)), (step.source, step.near)
+        order = front(*step.sites)
+        return (checked, shape, order, tuple(np.argsort(order).tolist())), ()
+    return (shape, front(step.near, step.far), front(step.source, step.near)), (step.source, step.near)
 
 
 def _measure(s: PureState, args, reg: Register) -> list[tuple[str, float, PureState]]:
@@ -231,29 +234,30 @@ def _measure(s: PureState, args, reg: Register) -> list[tuple[str, float, PureSt
 
 
 def _unitary(s: PureState, args) -> PureState:
-    u, axes = args
-    t = np.tensordot(u, s.tensor_view(), axes=(range(len(axes), u.ndim), axes))
-    return PureState(s.register, np.moveaxis(t, range(len(axes)), axes).reshape(-1))
+    """``u`` times the amplitudes with the unitary's sites brought to the front."""
+    u, shape, order, inverse = args
+    t = s.amplitudes.reshape(shape).transpose(order).reshape(len(u), -1)
+    return PureState(s.register, (u @ t).reshape(shape).transpose(inverse).reshape(-1))
 
 
-_EPR_PROJECTOR = np.zeros((4, 4), dtype=np.complex128)
-_EPR_PROJECTOR[0, 0] = _EPR_PROJECTOR[0, 3] = _EPR_PROJECTOR[3, 0] = _EPR_PROJECTOR[3, 3] = 0.5
+_EPR_PROJECTOR = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
 
 
 def _teleport(s: PureState, args, reg: Register) -> PureState:
     """Test that the pair holds the resource state on this ``s``, then take
     the teleport's net effect; the result lives on ``reg``."""
-    ax_s, ax_n, ax_f = args
-    t = s.tensor_view()
-    m = np.moveaxis(t, (ax_n, ax_f), (0, 1)).reshape(4, -1)
+    shape, pair, through = args
+    t = s.amplitudes.reshape(shape)
+    m = t.transpose(pair).reshape(4, -1)
     # the projector is symmetric under swapping the pair, so site order is moot
-    if not np.max(np.abs(m @ m.conj().T - _EPR_PROJECTOR)) <= EPR_TOL:
-        pair = (s.register.sites[ax_n], s.register.sites[ax_f])
-        raise NotAnEprResource(f"sites {pair} are not in the maximally entangled pair state")
+    if not np.abs(m @ m.conj().T - _EPR_PROJECTOR).max() <= EPR_TOL:
+        sites = (s.register.sites[pair[0]], s.register.sites[pair[1]])
+        raise NotAnEprResource(f"sites {sites} are not in the maximally entangled pair state")
     # project (source, near) onto the maximally entangled bra and rescale:
     # for a resource pair this is exactly the identity channel onto far
-    v = (np.trace(t, axis1=ax_s, axis2=ax_n) * _SQ2).reshape(-1)
-    return PureState(reg, v / np.linalg.norm(v))
+    m = t.transpose(through).reshape(4, -1)
+    v = (m[0] + m[3]) * _SQ2
+    return PureState(reg, v / np.sqrt(np.vdot(v, v).real))
 
 
 def measure(
@@ -314,12 +318,7 @@ class BranchNode(_Report):
         return _doc({"record": self.record, "prob": self.prob, "success": success, "children": self.children})
 
     def leaves(self) -> list["BranchNode"]:
-        if not self.children:
-            return [self]
-        out = []
-        for c in self.children:
-            out.extend(c.leaves())
-        return out
+        return [leaf for c in self.children for leaf in c.leaves()] if self.children else [self]
 
     @property
     def success_probability(self) -> float:
@@ -327,7 +326,35 @@ class BranchNode(_Report):
         return float(sum(leaf.prob for leaf in self.leaves() if leaf.status == "success"))
 
 
-def _plan(s: PureState, steps: Sequence[Step]) -> tuple[list[tuple], tuple[int, ...]]:
+_PLANS: dict = {}  # plan key -> (plan, surviving sites), at most PLAN_MEMO_SIZE
+
+
+def _plan_key(reg: Register, steps: Sequence[Step]) -> tuple | None:
+    """The register and, per step, every field ``_check_step`` and ``_resolve``
+    read, in the form they read it (a matrix as its complex128 values); None
+    when a field does not fit a key, so that planning raises as unkept."""
+
+    def values(m) -> tuple:
+        a = np.asarray(m, dtype=np.complex128)
+        return a.shape, a.tobytes()
+
+    try:
+        key = [reg]
+        for step in steps:
+            if isinstance(step, Measure):
+                basis = step.basis if type(step.basis) is str else values(step.basis)
+                key.append((type(step), step.party, step.site, basis, step.accept))
+            elif isinstance(step, Unitary):
+                key.append((type(step), step.party, tuple(step.sites), values(step.matrix), step.when))
+            else:
+                key.append((type(step), step.source, step.near, step.far))
+        hash(key := tuple(key))
+        return key
+    except Exception:  # whatever fails here fails the check too, with its step
+        return None
+
+
+def _plan(s: PureState, steps: Sequence[Step]) -> tuple[tuple, tuple[int, ...]]:
     """Check the steps in order against the register of ``s`` and resolve
     each on the register it meets; returns one (step, kernel arguments,
     register after the step) entry per step, the same on every branch, and
@@ -335,8 +362,13 @@ def _plan(s: PureState, steps: Sequence[Step]) -> tuple[list[tuple], tuple[int, 
 
     Each step goes through ``_check_step``, the check the primitive
     operations also run, whether or not a branch reaches the step; this is
-    the protocol check of ``run_protocol`` and the protocol file parser.
+    the protocol check of ``run_protocol`` and the protocol file parser,
+    made once per ``_plan_key``.
     """
+    key = _plan_key(s.register, steps)
+    kept = _PLANS.get(key)  # one lookup, so a plan another thread drops is no KeyError
+    if kept is not None:
+        return kept
     plan, reg, live, measured = [], s.register, s.register.sites, 0
     for i, step in enumerate(steps):
         args, gone = _resolve(step, reg, _check_step(step, s.register, live, measured, i))
@@ -345,15 +377,17 @@ def _plan(s: PureState, steps: Sequence[Step]) -> tuple[list[tuple], tuple[int, 
             reg = reg.without(gone)
         plan.append((step, args, reg))
         measured += isinstance(step, Measure)
-    return plan, live
+    planned = tuple(plan), live
+    if key is not None:
+        _PLANS[key] = planned
+        for old in list(_PLANS)[:-PLAN_MEMO_SIZE]:  # the oldest go first
+            _PLANS.pop(old, None)
+    return planned
 
 
 def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
     """Check the target against the sites ``final`` that survive the steps."""
-
-    def bad(message: str) -> MalformedProtocol:
-        return MalformedProtocol(message, step="target")
-
+    bad = partial(MalformedProtocol, step="target")
     if tgt.mode == "exact":
         if tgt.state is None:
             raise bad("exact target needs a state")
@@ -374,18 +408,22 @@ def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
         raise bad(f"unknown target mode {tgt.mode!r}")
 
 
+# the single-site unfoldings of a 2x2x2 array, as indices into its 8 entries
+_UNFOLD3 = np.stack([_unfold(np.arange(8).reshape(2, 2, 2), k) for k in range(3)])
+
+
 def _ghz_lu_success(leaf: PureState, sites: tuple[int, int, int]) -> bool:
-    triple = leaf.tensor_view()  # when the three sites are the whole register
+    triple = leaf.amplitudes  # when the three sites are the whole register
     if leaf.n_sites > 3:
         kept = tuple(x for x in leaf.register.sites if x in set(sites))
         u, sv, _ = np.linalg.svd(_cut(leaf, kept), full_matrices=False)
         # the rest factors out when the purity of its reduced state is 1
         if np.sum(sv**4) < 1.0 - SUCCESS_TOL:
             return False
-        triple = u[:, 0].reshape(2, 2, 2)
+        triple = u[:, 0]
     # each single-site density must be flat: a unit-trace 2x2 density r has
     # its eigenvalues at 1/2 +- sqrt(((r00 - r11)/2)^2 + |r01|^2)
-    m = np.stack([_unfold(triple, k) for k in range(3)])
+    m = triple[_UNFOLD3]
     r = m @ m.conj().transpose(0, 2, 1)
     if np.max(np.hypot((r[:, 0, 0] - r[:, 1, 1]).real / 2, np.abs(r[:, 0, 1]))) > SUCCESS_TOL:
         return False
@@ -417,20 +455,16 @@ def run_protocol(s: PureState, p: Protocol) -> BranchNode:
             step, args, reg = plan[idx]
             idx += 1
             if isinstance(step, Measure):
-                children = []
-                for outcome, pk, post in _measure(state, args, reg):
-                    rec = record + outcome
-                    pr = prob * pk
-                    if step.accept != "*" and outcome != step.accept:
-                        children.append(BranchNode(rec, pr, post, "failure"))
-                    else:
-                        children.append(expand(post, rec, pr, idx))
-                return BranchNode(record, prob, state, "internal", tuple(children))
+                children = tuple(
+                    expand(post, record + k, prob * pk, idx) if step.accept in ("*", k)
+                    else BranchNode(record + k, prob * pk, post, "failure")
+                    for k, pk, post in _measure(state, args, reg)
+                )
+                return BranchNode(record, prob, state, "internal", children)
             if isinstance(step, Teleport):
                 state = _teleport(state, args, reg)
             elif step.when is None or all(want in ("*", got) for want, got in zip(step.when, record)):
                 state = _unitary(state, args)
-        status = "success" if _leaf_success(state, p.target) else "failure"
-        return BranchNode(record, prob, state, status)
+        return BranchNode(record, prob, state, "success" if _leaf_success(state, p.target) else "failure")
 
     return expand(s, "", 1.0, 0)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -435,8 +436,9 @@ class ReportFile:
     that cannot be written fails before any work and one that exists keeps
     its bytes until ``write``.  ``write`` puts the text at the start of the
     file in one call, then cuts a regular file to its length; a special file
-    such as ``/dev/null``, or a pipe behind ``/dev/stdout``, is not cut.
-    Closed unwritten, a file that opening created is removed again.
+    such as ``/dev/null``, or a pipe behind ``/dev/stdout``, is not cut, nor
+    is the file standard output goes to, which is written after what it holds
+    (``--json /dev/stdout > file``).  Closed unwritten, a file that opening created is removed again.
     Rewriting in place frees no blocks, which truncating on open or
     replacing the file by a rename would.
     """
@@ -450,11 +452,15 @@ class ReportFile:
 
     def write(self, text: str) -> None:
         data = memoryview(text.encode())
-        size = len(data)
+        size, fd, st = len(data), self._fd, os.fstat(self._fd)
+        cut = stat.S_ISREG(st.st_mode)
+        with contextlib.suppress(OSError):  # standard output may be closed
+            if cut and fd != 1 and os.path.samestat(st, os.fstat(1)):
+                fd, cut = 1, False
         while data:  # one call, unless the write is cut short
-            data = data[os.write(self._fd, data) :]
-        if stat.S_ISREG(os.fstat(self._fd).st_mode):
-            os.ftruncate(self._fd, size)
+            data = data[os.write(fd, data) :]
+        if cut:
+            os.ftruncate(fd, size)
         self._made = False
 
     def close(self) -> None:

@@ -597,6 +597,24 @@ def test_report_to_stdout_through_a_pipe_follows_the_table():
     assert run.stdout == table + report
 
 
+@pytest.mark.parametrize("mode, before", [("w", ""), ("a", "earlier output\n")], ids=[">", ">>"])
+def test_report_to_stdout_redirected_to_a_file_follows_the_table(tmp_path, mode, before):
+    # `> out` and `>> out`: the report goes after the table, through standard
+    # output, and the file is not cut back to the report's length
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    out = tmp_path / "out.txt"
+    out.write_text(before)
+    with open(out, mode) as fh:
+        run = subprocess.run(
+            [sys.executable, "-m", "loccsim.cli", "demo", "intro", "--json", "/dev/stdout"],
+            stdout=fh, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    assert (run.returncode, run.stderr) == (0, "")
+    table, report = ((GOLDEN / f"demo_intro.{ext}").read_text() for ext in ("out", "json"))
+    assert out.read_text() == before + table + report
+
+
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):
     built = []
     init = argparse.ArgumentParser.__init__

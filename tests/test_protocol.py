@@ -23,6 +23,7 @@ from loccsim.prebuilt import (
     prop3_input,
 )
 from loccsim.protocol import (
+    BASIS_X,
     CNOT,
     PAULI_X,
     PAULI_Z,
@@ -674,20 +675,105 @@ def test_run_equals_the_chained_primitives(steps, sites):
         assert got is want
 
 
-@pytest.mark.parametrize(
-    "build, n_steps",
-    [pytest.param(lambda: prop3(0.4), 3, id="prop3"), pytest.param(ghz_plus_epr_to_any, 4, id="ghz_plus_epr_to_any")],
-)
-def test_run_checks_each_step_once(build, n_steps, monkeypatch):
-    prepared, calls = build(), []
+@pytest.fixture
+def checks(monkeypatch):
+    """An emptied plan memo for the test, and the list of steps
+    ``_check_step`` is called on, in call order."""
+    monkeypatch.setattr(protocol, "_PLANS", {})
+    calls = []
 
     def counted(*args):
         calls.append(args[0])
         return _check_step(*args)
 
     monkeypatch.setattr(protocol, "_check_step", counted)
-    prepared.run()
-    assert len(calls) == n_steps
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, n_steps",
+    [pytest.param(lambda: prop3(0.4), 3, id="prop3"), pytest.param(ghz_plus_epr_to_any, 4, id="ghz_plus_epr_to_any")],
+)
+def test_run_checks_each_step_once(build, n_steps, checks):
+    build().run()
+    assert len(checks) == n_steps
+    # the builder makes new step objects, equal in value: nothing to check
+    build().run()
+    assert len(checks) == n_steps
+
+
+def _memo_case(state=None, basis="X", accept="*", matrix=PAULI_Z, when="1"):
+    # ghz_to_epr, with each value the plan key reads open to change
+    state = state or ghz(ABC)
+    steps = (Measure("A", 1, basis, accept), Unitary("B", (2,), matrix, when=when))
+    pair = Register.of([(x, state.register.party_of(x)) for x in (2, 3)])
+    return run_protocol(state, Protocol(steps, Target("exact", state=epr(pair))))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"matrix": np.diag([1, 1j])}, id="matrix entry"),
+        pytest.param({"basis": "Z"}, id="basis name"),
+        pytest.param({"basis": BASIS_X * 1j}, id="basis values"),
+        pytest.param({"accept": "1"}, id="accept"),
+        pytest.param({"when": "*"}, id="when"),
+        pytest.param({"state": ghz(Register.of([(1, "A"), (2, "B"), (3, "D")]))}, id="register party"),
+    ],
+)
+def test_a_changed_value_is_checked_again(change, checks):
+    _memo_case()
+    _memo_case()
+    assert len(checks) == 2
+    _memo_case(**change)
+    assert len(checks) == 4
+
+
+def test_a_matrix_changed_in_place_is_checked_again(checks):
+    matrix = PAULI_Z.copy()
+    assert _memo_case(matrix=matrix).success_probability == pytest.approx(1.0, abs=1e-12)
+    matrix[1, 1] = 2.0
+    with pytest.raises(NotUnitary) as exc:
+        _memo_case(matrix=matrix)
+    assert exc.value.step == 1
+    # the kept plan holds its own copy of the matrix the first run checked
+    n = len(checks)
+    assert _memo_case(matrix=PAULI_Z.copy()).success_probability == pytest.approx(1.0, abs=1e-12)
+    assert len(checks) == n
+
+
+@pytest.mark.parametrize(
+    "steps, error, where",
+    [
+        pytest.param((Unitary("A", 1, PAULI_X),), MalformedProtocol, 0, id="bare site"),
+        pytest.param((Measure("A", 1, "Z"), Unitary("B", (2,), PAULI_X, when=["1"])), MalformedProtocol, 1, id="list when"),
+        pytest.param(
+            (Measure("A", 1, "Z"), Measure("B", 2, np.array([[1, None], [0, 1]], dtype=object))),
+            NotUnitary, 1, id="object basis",
+        ),
+    ],
+)
+def test_an_ill_typed_step_raises_at_its_index_on_every_run(steps, error, where, checks):
+    state = tensor(ghz(ABC), epr(Register.of([(4, "B"), (5, "C")])))
+    for _ in range(2):
+        with pytest.raises(error) as exc:
+            run_protocol(state, Protocol(steps, Target("ghz-lu", sites=(3, 4, 5))))
+        assert exc.value.step == where
+    assert protocol._PLANS == {}
+
+
+def test_the_memo_keeps_at_most_its_bound(checks):
+    def run(k):
+        _memo_case(matrix=np.diag([1, np.exp(1j * k / 1000)]))
+
+    for k in range(2 * protocol.PLAN_MEMO_SIZE):
+        run(k)
+    assert len(protocol._PLANS) == protocol.PLAN_MEMO_SIZE
+    n = len(checks)
+    run(2 * protocol.PLAN_MEMO_SIZE - 1)  # the newest is kept
+    assert len(checks) == n
+    run(0)  # the oldest went first
+    assert len(checks) == n + 2
 
 
 def test_resource_pair_is_tested_on_each_branch():
@@ -735,6 +821,44 @@ def test_pair_conversions_meet_the_splitting_bound(name, x):
     bound = splitting_bound(prepared.state, _padded_target(prepared)).bound
     assert p <= bound + 1e-12
     assert abs(bound - 2 * x) <= 1e-9
+
+
+_haar = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: haar_unitary(np.random.default_rng(seed)))
+
+
+@st.composite
+def near_pair_conversions(draw):
+    """A one-pair conversion with a random local unitary, conditioned on a
+    random ``when`` pattern or not, drawn before any step and at the end, and
+    each measurement in a random basis."""
+    prepared = PAIR_CONVERSIONS[draw(st.sampled_from(sorted(PAIR_CONVERSIONS)))](
+        draw(st.floats(min_value=1 / 3, max_value=0.5, exclude_max=True))
+    )
+    reg = prepared.state.register
+    steps, live, measured = [], list(reg.sites), 0
+    for step in prepared.protocol.steps + (None,):
+        if draw(st.booleans()):
+            x = draw(st.sampled_from(tuple(live)))
+            when = draw(st.none() | st.text("01*", min_size=measured, max_size=measured))
+            steps.append(Unitary(reg.party_of(x), (x,), draw(_haar), when=when))
+        if isinstance(step, Measure):
+            step = Measure(step.party, step.site, draw(st.sampled_from(["Z", "X"]) | _haar), step.accept)
+            live.remove(step.site)
+            measured += 1
+        if step is not None:
+            steps.append(step)
+    return prepared._replace(protocol=Protocol(tuple(steps), prepared.protocol.target))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_pair_conversions())
+def test_protocols_near_the_pair_conversions_stay_below_the_bound(prepared):
+    prepared.run()
+    kept = prepared.run()  # from the plan the first run kept
+    assert kept.success_probability <= splitting_bound(prepared.state, _padded_target(prepared)).bound + 1e-12
+    # a run from the kept plan equals one planned afresh
+    protocol._PLANS.clear()
+    assert_same_tree(kept, prepared.run())
 
 
 def _padded_exact_target(prepared) -> PureState:

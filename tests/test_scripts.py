@@ -20,8 +20,8 @@ paired_runs = _load("paired_runs")
 
 def _runs(parent: list[float], change: list[float], name: str = "job_tail_ms") -> dict:
     """Paired runs in which ``name`` reads ``parent[k]`` and ``change[k]`` in
-    pair k and every other metric reads 1 on both sides."""
-    flat = dict.fromkeys(paired_runs.METRICS, 1.0)
+    pair k and every other metric, and the passes, read 1 on both sides."""
+    flat = dict.fromkeys(paired_runs.METRICS + ("passes",), 1.0)
     return {
         str(k): {"parent": {**flat, name: p}, "change": {**flat, name: c}}
         for k, (p, c) in enumerate(zip(parent, change))
@@ -77,6 +77,18 @@ def test_summarize_holds_each_median_to_its_bound(parent, change, verdict):
     assert summary["wall_s"]["vs_bound"] == "within"
     assert summary["setup_s"]["vs_bound"] is None  # no bound given
     assert summary["setup_s"]["gain_shown"] is False
+
+
+def test_summarize_reads_peak_rss_per_pass():
+    # 40 MB over 50 passes against 44 MB over 88 passes: the change's median
+    # RSS is higher, but lower per pass
+    runs = _runs([40.0, 40.0, 41.0], [44.0, 44.0, 45.0], "peak_rss_mb")
+    for pair, passes in zip(runs.values(), ([50, 88], [50, 88], [41, 90])):
+        pair["parent"]["passes"], pair["change"]["passes"] = passes
+    row = paired_runs.summarize(runs, {})["peak_rss_mb"]
+    assert (row["parent_median"], row["change_median"]) == (40.0, 44.0)
+    assert (row["parent_passes"], row["change_passes"]) == (50, 88)
+    assert (row["parent_mb_per_pass"], row["change_mb_per_pass"]) == (0.8, 0.5)
 
 
 def test_bounds_come_from_the_benchmark_declaration():
