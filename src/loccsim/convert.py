@@ -4,19 +4,21 @@ The bipartite machinery is the standard optimal-protocol formula for pure
 states (minimum over tail-sum ratios of the two Schmidt spectra).  For the
 multiparty case every bipartite splitting of the parties gives an upper
 bound, and the minimum over splittings bounds any collective protocol.
+Cut layouts are memoized by party layout (the last 64), so a repeated bound
+is one gather, one SVD and one tail-ratio kernel per cut shape.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
-from .invariants import PartyTensor, ProbeConfig, _party_axes, product_term_estimate
+from .invariants import PartyTensor, ProbeConfig, product_term_estimate
 from .states import PureState, _Report
 
 ZERO_TAIL = 1e-12
@@ -110,6 +112,31 @@ def splitting_cuts(parties: Sequence[str]) -> list[tuple[tuple[str, ...], str]]:
     return cuts
 
 
+@lru_cache(maxsize=64)
+def _cut_plan(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[str, ...], tuple]:
+    """The cut keys of two compatible party layouts (their registers' ``parties``)
+    and, per cut shape, the keys of its cuts with one read-only index array that
+    gathers all their matrices, source then target, from both states' amplitudes."""
+    labels, size = tuple(sorted(set(source))), 2 ** len(source)
+    cuts, groups = splitting_cuts(labels), {}
+    # a cut's spectrum is read from its smaller side (the singular values are
+    # the same either way), so the cuts with as many rows share one SVD
+    for left, key in cuts:
+        right, dim = tuple(p for p in labels if p not in left), 2 ** sum(p in left for p in source)
+        if dim**2 > size:
+            left, right, dim = right, left, size // dim
+        groups.setdefault(dim, []).append((key, left + right))
+    plan = []
+    for dim, group in groups.items():
+        # sites by their party's place in the rows then the columns, in register order within a party
+        sites = [sorted(range(len(ps)), key=lambda i: cut.index(ps[i])) for ps in (source, target) for _, cut in group]
+        index = np.stack([np.arange(size).reshape((2,) * len(s)).transpose(s).reshape(dim, -1) for s in sites])
+        index[len(group) :] += size
+        index.setflags(write=False)
+        plan.append((tuple(key for key, _ in group), index))
+    return tuple(key for _, key in cuts), tuple(plan)
+
+
 def splitting_bound(source: PureState, target: PureState) -> ConversionBound:
     """Minimum over party bipartitions of the bipartite conversion probability.
 
@@ -117,27 +144,14 @@ def splitting_bound(source: PureState, target: PureState) -> ConversionBound:
     counts.  Every cut upper-bounds any collective local protocol, so the
     minimum does too.
     """
-    parties = _compatible_registers(source, target)
-    # one axis per party, of the same dimension on both sides, so a cut is a
-    # transpose of party axes
-    tensors = [_party_axes(s)[1] for s in (source, target)]
-    shape, cuts = tensors[0].shape, splitting_cuts(parties)
-    # a cut's spectrum is read from its smaller side (the singular values are
-    # the same either way), so the cuts with as many rows share one SVD
-    groups: dict[int, list[tuple[str, list[int]]]] = {}
-    for left, key in cuts:
-        rows = [i for i, p in enumerate(parties) if p in left]
-        rest = [i for i in range(len(shape)) if i not in rows]
-        dim = math.prod(shape[i] for i in rows)
-        if dim**2 > tensors[0].size:
-            rows, rest, dim = rest, rows, tensors[0].size // dim
-        groups.setdefault(dim, []).append((key, rows + rest))
-    per_cut: dict[str, float] = dict.fromkeys(key for _, key in cuts)
-    for dim, group in groups.items():
-        mats = np.stack([t.transpose(order).reshape(dim, -1) for t in tensors for _, order in group])
+    _compatible_registers(source, target)
+    keys, plan = _cut_plan(source.register.parties, target.register.parties)
+    amps = np.concatenate((source.amplitudes, target.amplitudes))
+    per_cut: dict[str, float] = dict.fromkeys(keys)
+    for group, index in plan:
         # squared singular values come nonincreasing, as the kernel takes them
-        spectra = np.linalg.svd(mats, compute_uv=False) ** 2
-        per_cut.update(zip((key for key, _ in group), _tail_ratio(spectra.reshape(2, len(group), -1)).tolist()))
+        spectra = np.linalg.svd(amps[index], compute_uv=False) ** 2
+        per_cut.update(zip(group, _tail_ratio(spectra.reshape(2, len(group), -1)).tolist()))
     return ConversionBound(per_cut, min(per_cut.values()))
 
 

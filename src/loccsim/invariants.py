@@ -14,6 +14,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -87,6 +88,20 @@ def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
     return np.transpose(t, order).reshape(t.shape[mode], -1)
 
 
+@lru_cache(maxsize=64)
+def _unfolding_plan(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], np.ndarray], ...]:
+    """Per matricization shape, the modes with that shape and one read-only
+    index array gathering their unfoldings from a flattened ``shape`` array."""
+    entries = np.arange(np.prod(shape)).reshape(shape)
+    plan = []
+    for d in set(shape):
+        modes = tuple(m for m, other in enumerate(shape) if other == d)
+        index = np.stack([_unfold(entries, m) for m in modes])
+        index.setflags(write=False)
+        plan.append((modes, index))
+    return tuple(plan)
+
+
 def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
     """Numeric rank of each single-party matricization: its singular values
     through the one rank rule, ``states._rank``.
@@ -97,10 +112,8 @@ def flattening_ranks(t: PartyTensor) -> tuple[int, ...]:
     ranks = {}
     # a matricization's shape is set by its party's dimension; those of one
     # shape share one stacked SVD
-    for d in set(t.shape):
-        modes = [m for m, other in enumerate(t.shape) if other == d]
-        sv = np.linalg.svd(np.stack([_unfold(t.data, m) for m in modes]), compute_uv=False)
-        ranks.update(zip(modes, _rank(sv).tolist()))
+    for modes, index in _unfolding_plan(t.shape):
+        ranks.update(zip(modes, _rank(np.linalg.svd(t.data.reshape(-1)[index], compute_uv=False)).tolist()))
     return tuple(ranks[m] for m in range(len(t.shape)))
 
 

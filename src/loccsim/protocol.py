@@ -137,7 +137,10 @@ class PreparedProtocol(NamedTuple):
 def _checked_unitary(matrix, k: int, step, what: str = "matrix") -> np.ndarray:
     """``matrix`` as a complex array of its own, checked to be a unitary on
     ``k`` qubits; ``step`` goes into the NotUnitary raised otherwise."""
-    u = np.array(matrix, dtype=np.complex128)
+    try:
+        u = np.array(matrix, dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise NotUnitary(f"{what} does not convert to complex values", step=step) from None
     if u.shape != (2**k, 2**k):
         raise NotUnitary(f"{what} shape {u.shape} does not act on {k} qubits", step=step)
     # written so that a NaN entry fails the check

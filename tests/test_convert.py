@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loccsim import convert
+from loccsim import convert, invariants
 from loccsim.convert import (
     IMPOSSIBLE,
     UNDETERMINED,
@@ -16,9 +16,20 @@ from loccsim.convert import (
     vidal_probability,
 )
 from loccsim.errors import LoccSimError, NotAProbabilityVector, RegisterMismatch, WrongArity
-from loccsim.invariants import PartyTensor, ProductTermEstimate
+from loccsim.invariants import PartyTensor, ProductTermEstimate, _party_axes, _unfold, flattening_ranks
 from loccsim.prebuilt import bipartite_catalysis_pair, prop3_input, prop3_target
-from loccsim.states import DensityMatrix, PureState, Register, computational, epr, ghz, schmidt, tensor, w_state
+from loccsim.states import (
+    DensityMatrix,
+    PureState,
+    Register,
+    _rank,
+    computational,
+    epr,
+    ghz,
+    schmidt,
+    tensor,
+    w_state,
+)
 
 ABC = Register.of([(1, "A"), (2, "B"), (3, "C")])
 
@@ -253,13 +264,15 @@ def test_bound_takes_a_state_at_the_edge_of_the_norm_tolerance(side):
     assert all(abs(got.per_cut[key] - value) <= 1e-9 for key, value in want.per_cut.items())
 
 
+HELD = PureState(Register.of([(1, "A"), (2, "A")]), np.array([1, 0, 0, 1]) / np.sqrt(2))
+
+
 def test_one_party_states_are_rejected():
     # one party has no cut to split and no product terms to count
-    held = PureState(Register.of([(1, "A"), (2, "A")]), np.array([1, 0, 0, 1]) / np.sqrt(2))
     with pytest.raises(WrongArity):
-        splitting_bound(held, held)
+        splitting_bound(HELD, HELD)
     with pytest.raises(WrongArity):
-        catalysis_verdict(held, held)
+        catalysis_verdict(HELD, HELD)
 
 
 GHZ4 = PureState(Register.for_parties("A", "B", "C", "D"), np.eye(16)[[0, 15]].sum(axis=0) / np.sqrt(2))
@@ -297,6 +310,89 @@ def test_stacked_bound_equals_the_cut_by_cut_formula(pair):
         expected = vidal_probability(schmidt(source, left), schmidt(target, left))
         assert b.per_cut[key] == pytest.approx(expected, abs=1e-12)
     assert b.bound == min(b.per_cut.values())
+
+
+def _transposed_per_cut(source, target) -> dict[str, float]:
+    """Each cut matrix by an explicit transpose of the party axes of its
+    state, read from its smaller side, the cuts of one shape stacked into one
+    SVD, source before target."""
+    parties = source.register.party_labels()
+    tensors = [_party_axes(s)[1] for s in (source, target)]
+    shape, cuts = tensors[0].shape, splitting_cuts(parties)
+    groups = {}
+    for left, key in cuts:
+        rows = [i for i, p in enumerate(parties) if p in left]
+        rest = [i for i in range(len(shape)) if i not in rows]
+        dim = int(np.prod([shape[i] for i in rows]))
+        if dim**2 > tensors[0].size:
+            rows, rest, dim = rest, rows, tensors[0].size // dim
+        groups.setdefault(dim, []).append((key, rows + rest))
+    per_cut = dict.fromkeys(key for _, key in cuts)
+    for dim, group in groups.items():
+        mats = np.stack([t.transpose(order).reshape(dim, -1) for t in tensors for _, order in group])
+        spectra = np.linalg.svd(mats, compute_uv=False) ** 2
+        per_cut.update(zip((key for key, _ in group), _tail_ratio(spectra.reshape(2, len(group), -1)).tolist()))
+    return per_cut
+
+
+@settings(max_examples=150, deadline=None)
+@given(register_pairs())
+def test_cut_plan_gathers_exactly_the_transposed_cuts(pair):
+    # bit for bit: the gathered matrices hold the transposes' entries
+    source, target = pair
+    b = splitting_bound(source, target)
+    assert list(b.per_cut.items()) == list(_transposed_per_cut(source, target).items())
+    assert b.bound == min(b.per_cut.values())
+    for s in pair:
+        t = PartyTensor.from_state(s)
+        assert flattening_ranks(t) == tuple(
+            _rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False)) for m in range(t.data.ndim)
+        )
+
+
+@pytest.mark.parametrize(
+    "source, target, error, message",
+    [
+        pytest.param(
+            ghz(ABC), ghz(Register.of([(1, "A"), (2, "B"), (3, "D")])),
+            RegisterMismatch, r"party sets differ: \('A', 'B', 'C'\) vs \('A', 'B', 'D'\)", id="parties",
+        ),
+        pytest.param(
+            ghz(ABC), computational(Register.of([(1, "A"), (2, "A"), (3, "B"), (4, "C")]), "0000"),
+            RegisterMismatch, "party A holds different site counts", id="site counts",
+        ),
+        pytest.param(
+            HELD, HELD, WrongArity, r"needs two or more of them, got \('A',\)", id="one party",
+        ),
+    ],
+)
+def test_a_mismatched_pair_raises_on_every_call_and_plans_nothing(source, target, error, message):
+    before = convert._cut_plan.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(error, match=message):
+            splitting_bound(source, target)
+    assert convert._cut_plan.cache_info().currsize == before
+
+
+def test_the_cut_plan_memo_keeps_at_most_its_bound():
+    bound = convert._cut_plan.cache_info().maxsize
+    for k in range(2 * bound):
+        state = computational(Register.of([(1, f"P{k}"), (2, "Q")]), "00")
+        assert splitting_bound(state, state).bound == 1.0
+    assert convert._cut_plan.cache_info().currsize == bound
+    # a kept plan hands the same arrays to every caller, so none can write them
+    _, plan = convert._cut_plan(state.register.parties, state.register.parties)
+    assert not any(index.flags.writeable for _, index in plan)
+
+
+def test_the_unfolding_plan_memo_keeps_at_most_its_bound():
+    bound = invariants._unfolding_plan.cache_info().maxsize
+    for k in range(2 * bound):
+        data = np.zeros((k // 16 + 1, k % 16 + 1))
+        data[0, 0] = 1.0
+        assert flattening_ranks(PartyTensor(("A", "B"), data)) == (1, 1)
+    assert invariants._unfolding_plan.cache_info().currsize == bound
+    assert not any(index.flags.writeable for _, index in invariants._unfolding_plan(data.shape))
 
 
 def test_bound_takes_one_svd_per_cut_shape(monkeypatch):

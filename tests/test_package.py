@@ -158,6 +158,18 @@ def test_cli_imports_only_numpy_and_the_standard_library():
     assert sorted(added - {"loccsim", "numpy"} - sys.stdlib_module_names) == []
 
 
+def test_importing_the_package_plans_no_cut():
+    # cut layouts are planned on first use, so start-up pays for none
+    code = (
+        "import loccsim, loccsim.cli; from loccsim import convert, invariants; "
+        "print(convert._cut_plan.cache_info().currsize, invariants._unfolding_plan.cache_info().currsize)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "0"]
+
+
 def test_rank_residuals_script_runs():
     # the profiling script builds party tensors and reads their proven bounds
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}

@@ -120,6 +120,21 @@ def test_measure_ownership_and_basis_errors():
         measure(ghz(ABC), "A", 1, np.array([[np.nan, 0], [0, 1]]))
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        pytest.param(np.array([["a", "b"], ["c", "d"]], dtype=object), id="strings"),
+        pytest.param([[1, 0], [0]], id="ragged"),
+    ],
+)
+def test_a_matrix_that_is_no_complex_array_is_not_unitary(entries):
+    # the primitives check their own arguments, so the error names no step
+    for call in (lambda: measure(ghz(ABC), "A", 1, entries), lambda: apply_unitary(ghz(ABC), "A", (1,), entries)):
+        with pytest.raises(NotUnitary, match="does not convert to complex values") as exc:
+            call()
+        assert exc.value.step is None
+
+
 def test_measuring_the_last_site_is_a_malformed_step():
     # a state lives on one site at least: the primitive and a run both reject
     # the measurement that would take the last one, at that step
@@ -751,6 +766,11 @@ def test_a_matrix_changed_in_place_is_checked_again(checks):
             (Measure("A", 1, "Z"), Measure("B", 2, np.array([[1, None], [0, 1]], dtype=object))),
             NotUnitary, 1, id="object basis",
         ),
+        pytest.param(
+            (Measure("A", 1, "Z"), Measure("B", 2, np.array([["a", "b"], ["c", "d"]], dtype=object))),
+            NotUnitary, 1, id="string basis",
+        ),
+        pytest.param((Unitary("A", (1,), [["1", "0"], ["0", "i"]]),), NotUnitary, 0, id="string matrix"),
     ],
 )
 def test_an_ill_typed_step_raises_at_its_index_on_every_run(steps, error, where, checks):
@@ -820,7 +840,8 @@ def test_pair_conversions_meet_the_splitting_bound(name, x):
     p = prepared.run().success_probability
     bound = splitting_bound(prepared.state, _padded_target(prepared)).bound
     assert p <= bound + 1e-12
-    assert abs(bound - 2 * x) <= 1e-9
+    assert abs(p - bound) <= 1e-12
+    assert abs(bound - 2 * x) <= 1e-12
 
 
 _haar = st.integers(min_value=0, max_value=2**32 - 1).map(lambda seed: haar_unitary(np.random.default_rng(seed)))
