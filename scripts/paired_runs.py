@@ -16,15 +16,18 @@ stored under ``workloads.W.summary``, with each side's median and quartiles
 read lower.  Each metric's ``gain_shown`` applies the rule for claiming a
 gain: at least ten pairs, the change reads lower in at least nine tenths
 of them, and the medians differ by more than the parent's interquartile
-spread.  Its
-``vs_bound`` compares the change's median with the parent's against the
-metric's bound in the parent tree's ``BENCHMARK.json``, which is only read:
+spread; no gain shows when any change run is not correct or fails more
+operations than its paired parent run, as a rise in failures rejects the
+change whatever its times.  Its ``vs_bound`` compares the change's median
+with the parent's against the metric's bound in the parent tree's
+``BENCHMARK.json``, which is only read:
 "worse" when it is higher by more than that fraction of the parent's
 median, "unresolved" when the parent's own interquartile spread exceeds
 that fraction and not every change run reads lower than every parent run,
 and "within" otherwise.  Beside ``peak_rss_mb`` each side's median passes
 and median peak RSS per pass are printed and stored, as the worker keeps
-what every pass made, so more passes in the same time raise the RSS alone.
+what every pass made, so more passes in the same time raise the RSS alone;
+each side's total failed operations are printed and stored under ``failed``.
 
 Only the standard library is used, and nothing in either tree changes
 except its ``.bench_out/`` run records.
@@ -80,8 +83,10 @@ def summarize(runs: dict, bounds: dict[str, float]) -> dict:
     """Per metric: each side's median and quartiles, the pairs in which the
     change read lower (a tie counts for neither side), whether that shows a
     gain, and how the change's median stands against the metric's bound
-    (None for a metric without one)."""
+    (None for a metric without one); and each side's total failed operations."""
     summary = {}
+    faulty = any(not pair["change"]["correct"] or pair["change"]["failed"] > pair["parent"]["failed"]
+                 for pair in runs.values())
     for name in METRICS:
         parent = [pair["parent"][name] for pair in runs.values()]
         change = [pair["change"][name] for pair in runs.values()]
@@ -101,7 +106,7 @@ def summarize(runs: dict, bounds: dict[str, float]) -> dict:
             "change_median": round(c_med, 6),
             "change_quartiles": quartiles(change),
             "change_lower_in": f"{lower}/{len(runs)}",
-            "gain_shown": (len(runs) >= MIN_PAIRS and 10 * lower >= 9 * len(runs)
+            "gain_shown": (not faulty and len(runs) >= MIN_PAIRS and 10 * lower >= 9 * len(runs)
                            and p_med - c_med > p_q[1] - p_q[0]),
             "vs_bound": vs_bound,
         }
@@ -110,6 +115,7 @@ def summarize(runs: dict, bounds: dict[str, float]) -> dict:
         summary["peak_rss_mb"][f"{side}_passes"] = statistics.median(run["passes"] for run in sides)
         summary["peak_rss_mb"][f"{side}_mb_per_pass"] = round(
             statistics.median(run["peak_rss_mb"] / run["passes"] for run in sides), 6)
+    summary["failed"] = {side: sum(pair[side]["failed"] for pair in runs.values()) for side in ("parent", "change")}
     return summary
 
 
@@ -155,13 +161,16 @@ def main() -> int:
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
     print(f"{args.workload}: {len(runs)} pairs, median [quartiles], change lower in, gain shown, against the bound")
-    for name, row in entry["summary"].items():
+    for name in METRICS:
+        row = entry["summary"][name]
         print(f"  {name:<12} parent {row['parent_median']:.6g} {row['parent_quartiles']}  "
               f"change {row['change_median']:.6g} {row['change_quartiles']}  {row['change_lower_in']}  "
               f"{'gain' if row['gain_shown'] else 'no gain'}  {row['vs_bound']}")
     rss = entry["summary"]["peak_rss_mb"]
     print(f"  {'passes':<12} parent {rss['parent_passes']:g} ({rss['parent_mb_per_pass']:.4g} MB a pass)  "
           f"change {rss['change_passes']:g} ({rss['change_mb_per_pass']:.4g} MB a pass)")
+    failed = entry["summary"]["failed"]
+    print(f"  {'failed':<12} parent {failed['parent']}  change {failed['change']}")
     return 0
 
 

@@ -29,7 +29,6 @@ from .prebuilt import (
     prop3_target,
     tripartite_catalysis_pair,
 )
-from .protocol import BranchNode
 from .protofile import _to_float, parse_protocol_file
 from .states import ReportFile, _doc, load_state, schmidt, state_to_dict
 
@@ -125,19 +124,19 @@ def _cmd_run(args):
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{args.protocol}: {exc}") from None
-    tree = _run_and_print(parse_protocol_file(text, name=args.protocol))
-    return 0, _doc({"protocol": args.protocol, "success_probability": tree.success_probability, "tree": tree})
+    return 0, _doc(_run_report(parse_protocol_file(text, name=args.protocol), {"protocol": args.protocol}))
 
 
-def _run_and_print(prepared) -> BranchNode:
+def _run_report(prepared, head: dict) -> dict:
     """Run the protocol, print its leaves and success probability, and
-    return its branch tree."""
+    return ``head`` followed by the success probability and the branch tree."""
     tree = prepared.run()
+    p = tree.success_probability
     print("outcome  probability     status")
     for leaf in tree.leaves():
         print(f"{leaf.record:<8} {_prob(leaf.prob)}  {leaf.status}")
-    print(f"success probability: {_prob(tree.success_probability)}")
-    return tree
+    print(f"success probability: {_prob(p)}")
+    return {**head, "success_probability": p, "tree": tree}
 
 
 def _demo_prop1(args):
@@ -153,32 +152,27 @@ def _demo_prop2(args):
 def _demo_prop3(args):
     a, placement = args.value, args.placement
     prepared = prop3(a, placement)
-    tree = _run_and_print(prepared)
-    p = tree.success_probability
+    doc = _run_report(prepared, {"demo": "prop3", "a": a, "placement": placement})
     b = splitting_bound(prepared.state, prop3_target(placement))
     _print_bound(b)
-    achieved = abs(p - b.bound) <= OPTIMALITY_TOL
+    achieved = abs(doc["success_probability"] - b.bound) <= OPTIMALITY_TOL
     print(f"optimal: {'achieved' if achieved else 'NOT matched'}")
-    doc = {"demo": "prop3", "a": a, "placement": placement, "success_probability": p, "tree": tree}
     labels = {"source_id": f"prop3 input a={a}", "target_id": "prop3 target"}
     return 0, _doc({**doc, "bound": {**labels, **b.to_dict()}, "optimal": achieved})
 
 
 def _demo_intro(args):
-    tree = _run_and_print(intro_teleport())
-    return 0, _doc({"demo": "intro", "success_probability": tree.success_probability, "tree": tree})
+    return 0, _doc(_run_report(intro_teleport(), {"demo": "intro"}))
 
 
 def _demo_ghz2epr(args):
-    tree = _run_and_print(ghz_to_epr())
-    spectra = {}
+    doc = _run_report(ghz_to_epr(), {"demo": "ghz2epr"})
+    tree, spectra = doc.pop("tree"), {}
     for leaf in tree.leaves():
         coeffs = spectra[leaf.record] = schmidt(leaf.state, ["B"]).tolist()
         pretty = ", ".join(_prob(x) for x in coeffs)
         print(f"outcome {leaf.record}: pair spectrum {{{pretty}}}")
-    return 0, _doc(
-        {"demo": "ghz2epr", "success_probability": tree.success_probability, "spectra": spectra, "tree": tree}
-    )
+    return 0, _doc({**doc, "spectra": spectra, "tree": tree})
 
 
 def _cmd_sweep(args):

@@ -83,15 +83,15 @@ class ConversionBound(_Report):
     bound: float
 
 
-def _compatible_registers(source: PureState, target: PureState) -> tuple[str, ...]:
-    ps = source.register.party_labels()
-    pt = target.register.party_labels()
+def _compatible_registers(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[str, ...]:
+    """The party labels of two registers' ``parties``, which must give each party as many sites."""
+    ps, pt = tuple(sorted(set(source))), tuple(sorted(set(target)))
     if ps != pt:
         raise RegisterMismatch(f"party sets differ: {ps} vs {pt}")
     if len(ps) < 2:
         raise WrongArity(f"a conversion between parties needs two or more of them, got {ps}")
     for p in ps:
-        if source.register.parties.count(p) != target.register.parties.count(p):
+        if source.count(p) != target.count(p):
             raise RegisterMismatch(f"party {p} holds different site counts")
     return ps
 
@@ -114,10 +114,11 @@ def splitting_cuts(parties: Sequence[str]) -> list[tuple[tuple[str, ...], str]]:
 
 @lru_cache(maxsize=64)
 def _cut_plan(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[str, ...], tuple]:
-    """The cut keys of two compatible party layouts (their registers' ``parties``)
-    and, per cut shape, the keys of its cuts with one read-only index array that
-    gathers all their matrices, source then target, from both states' amplitudes."""
-    labels, size = tuple(sorted(set(source))), 2 ** len(source)
+    """The cut keys of two party layouts (their registers' ``parties``) and, per
+    cut shape, the keys of its cuts with one read-only index array that gathers
+    all their matrices, source then target, from both states' amplitudes.  A pair
+    ``_compatible_registers`` rejects raises on every call: no exception is kept."""
+    labels, size = _compatible_registers(source, target), 2 ** len(source)
     cuts, groups = splitting_cuts(labels), {}
     # a cut's spectrum is read from its smaller side (the singular values are
     # the same either way), so the cuts with as many rows share one SVD
@@ -144,7 +145,6 @@ def splitting_bound(source: PureState, target: PureState) -> ConversionBound:
     counts.  Every cut upper-bounds any collective local protocol, so the
     minimum does too.
     """
-    _compatible_registers(source, target)
     keys, plan = _cut_plan(source.register.parties, target.register.parties)
     amps = np.concatenate((source.amplitudes, target.amplitudes))
     per_cut: dict[str, float] = dict.fromkeys(keys)
@@ -215,7 +215,7 @@ def catalysis_verdict(
     default ``ProbeConfig()`` when None); ``--seed N`` on the command line
     passes ``ProbeConfig(seed=N)``.
     """
-    parties = _compatible_registers(source, target)
+    parties = _compatible_registers(source.register.parties, target.register.parties)
     tensors = [PartyTensor.from_state(s) for s in (source, target)]
     triples = tuple(map(PartyRank, parties, *(t.ranks for t in tensors)))
 

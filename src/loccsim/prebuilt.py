@@ -21,7 +21,7 @@ from .protocol import (
     Teleport,
     Unitary,
 )
-from .states import PureState, Register, epr, ghz, tensor, w_family, w_state
+from .states import _SQRT_HALF, PureState, Register, _basis_state, epr, ghz, tensor, w_family, w_state
 
 # sites 1-3, one per party, where every bundled input keeps its triple
 _ABC = Register.for_parties("A", "B", "C")
@@ -56,11 +56,7 @@ def bipartite_catalysis_pair(
     pair ``sqrt(alpha)|00> + sqrt(beta)|11>`` held by B and C (sites 4, 5);
     the target carries the maximally entangled triple instead, same pair.
     """
-    reg_cat = Register.of([(4, "B"), (5, "C")])
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0b00] = np.sqrt(alpha)
-    amps[0b11] = np.sqrt(beta)
-    cat = PureState(reg_cat, amps)
+    cat = _basis_state(Register.of([(4, "B"), (5, "C")]), {0b00: np.sqrt(alpha), 0b11: np.sqrt(beta)})
     return (
         tensor(w_family(a, b, c, 0.0, _ABC), cat),
         tensor(ghz(_ABC), cat),
@@ -139,9 +135,7 @@ def prop3_target(placement: str = "BC") -> PureState:
     """The exact final state: maximally entangled triple on sites (1, 2, 5),
     measured-out sites 3 and 4 left in |00>."""
     reg = Register(tuple(range(1, 6)), ("A", "B", "C", _near_party(placement), "C"))
-    amps = np.zeros(32, dtype=np.complex128)
-    amps[0b00000] = amps[0b11001] = 1 / np.sqrt(2)
-    return PureState(reg, amps)
+    return _basis_state(reg, dict.fromkeys((0b00000, 0b11001), _SQRT_HALF))
 
 
 def prop3(a: float, placement: str = "BC") -> PreparedProtocol:

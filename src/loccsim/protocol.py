@@ -158,10 +158,11 @@ def _resolve_basis(basis, step) -> np.ndarray:
     return _NAMED_BASES[basis.upper()]
 
 
-def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int, i=None):
-    """Check one step against register ``reg``, of which the sites ``live``
-    are still live, on branches whose outcome records have length
-    ``measured``; returns a measurement's basis rows or a unitary's matrix.
+def _check_step(step: Step, reg: Register, live: Register, measured: int, i=None):
+    """Check one step against register ``reg``, of which the sites of
+    register ``live`` are still live, on branches whose outcome records have
+    length ``measured``; returns the step's kernel arguments on ``live`` and
+    the sites the step consumes.
 
     This is the one check of which sites are live and who holds them, and
     of what a step carries (bases, matrices, accept tokens and ``when``
@@ -182,7 +183,7 @@ def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int,
     else:
         raise MalformedProtocol(f"unknown step {step!r}", step=i)
     for x in sites:
-        if x not in live:
+        if x not in live.sites:
             why = "was already consumed" if x in reg.sites else "is not in the register"
             raise MalformedProtocol(f"site {x} {why}", step=i)
     if len(set(sites)) != len(sites):
@@ -194,35 +195,26 @@ def _check_step(step: Step, reg: Register, live: tuple[int, ...], measured: int,
                 f"site {x} belongs to {reg.party_of(x)!r}, not to the acting party {party!r}", step=i
             )
     if isinstance(step, Measure):
-        if live == (step.site,):
+        if live.sites == (step.site,):
             raise MalformedProtocol(f"measuring site {step.site} would leave no site to hold the state", step=i)
         rows = _resolve_basis(step.basis, i)
         if step.accept not in ("0", "1", "*"):
             raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
-        return rows
+        ax = live.axis_of(step.site)
+        return ((2**ax, 2, 2 ** (live.n_sites - ax - 1)), rows), (step.site,)
+
+    def front(*sites: int) -> tuple[int, ...]:
+        axes = tuple(live.axis_of(x) for x in sites)
+        return axes + tuple(a for a in range(live.n_sites) if a not in axes)
+
+    shape = (2,) * live.n_sites
     if isinstance(step, Unitary):
         u = _checked_unitary(step.matrix, len(sites), i)
         when = step.when
         if when is not None and not (isinstance(when, str) and len(when) == measured and set(when) <= set("01*")):
             raise MalformedProtocol(f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}", step=i)
-        return u
-
-
-def _resolve(step: Step, reg: Register, checked) -> tuple[tuple, tuple[int, ...]]:
-    """The kernel arguments of ``step`` on register ``reg``, given what
-    ``_check_step`` returned for it, and the sites the step consumes."""
-    if isinstance(step, Measure):
-        ax = reg.axis_of(step.site)
-        return ((2**ax, 2, 2 ** (reg.n_sites - ax - 1)), checked), (step.site,)
-
-    def front(*sites: int) -> tuple[int, ...]:
-        axes = tuple(reg.axis_of(x) for x in sites)
-        return axes + tuple(a for a in range(reg.n_sites) if a not in axes)
-
-    shape = (2,) * reg.n_sites
-    if isinstance(step, Unitary):
-        order = front(*step.sites)
-        return (checked, shape, order, tuple(np.argsort(order).tolist())), ()
+        order = front(*sites)
+        return (u, shape, order, tuple(np.argsort(order).tolist())), ()
     return (shape, front(step.near, step.far), front(step.source, step.near)), (step.source, step.near)
 
 
@@ -272,7 +264,7 @@ def measure(
     probability floor are dropped; outcome "0" is listed first.
     """
     step = Measure(party, site, basis)
-    args, gone = _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))
+    args, gone = _check_step(step, s.register, s.register, 0)
     return _measure(s, args, s.register.without(gone))
 
 
@@ -282,7 +274,7 @@ def apply_unitary(
     """Apply a ``2^k x 2^k`` unitary to ``sites`` (first listed site is the
     most significant index of the matrix)."""
     step = Unitary(party, sites, matrix)
-    return _unitary(s, _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))[0])
+    return _unitary(s, _check_step(step, s.register, s.register, 0)[0])
 
 
 def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState:
@@ -297,7 +289,7 @@ def teleport(s: PureState, source: int, epr_sites: tuple[int, int]) -> PureState
     except (TypeError, ValueError):
         raise MalformedProtocol(f"epr_sites must be a (near, far) pair, got {epr_sites!r}") from None
     step = Teleport(source, near, far)
-    args, gone = _resolve(step, s.register, _check_step(step, s.register, s.register.sites, 0))
+    args, gone = _check_step(step, s.register, s.register, 0)
     return _teleport(s, args, s.register.without(gone))
 
 
@@ -333,8 +325,8 @@ _PLANS: dict = {}  # plan key -> (plan, surviving sites), at most PLAN_MEMO_SIZE
 
 
 def _plan_key(reg: Register, steps: Sequence[Step]) -> tuple | None:
-    """The register and, per step, every field ``_check_step`` and ``_resolve``
-    read, in the form they read it (a matrix as its complex128 values); None
+    """The register and, per step, every field ``_check_step`` reads, in the
+    form it reads it (a matrix as its complex128 values); None
     when a field does not fit a key, so that planning raises as unkept."""
 
     def values(m) -> tuple:
@@ -372,15 +364,14 @@ def _plan(s: PureState, steps: Sequence[Step]) -> tuple[tuple, tuple[int, ...]]:
     kept = _PLANS.get(key)  # one lookup, so a plan another thread drops is no KeyError
     if kept is not None:
         return kept
-    plan, reg, live, measured = [], s.register, s.register.sites, 0
+    plan, reg, measured = [], s.register, 0
     for i, step in enumerate(steps):
-        args, gone = _resolve(step, reg, _check_step(step, s.register, live, measured, i))
-        live = tuple(x for x in live if x not in gone)
+        args, gone = _check_step(step, s.register, reg, measured, i)
         if gone:
             reg = reg.without(gone)
         plan.append((step, args, reg))
         measured += isinstance(step, Measure)
-    planned = tuple(plan), live
+    planned = tuple(plan), reg.sites
     if key is not None:
         _PLANS[key] = planned
         for old in list(_PLANS)[:-PLAN_MEMO_SIZE]:  # the oldest go first

@@ -101,40 +101,32 @@ class _Cursor:
     def keyword(self, word: str) -> None:
         tok, col = self.take(f"keyword {word!r}")
         if tok != word:
-            raise ParseError(f"expected {word!r}, got {tok!r}", line=self.line_no, column=col)
+            raise self.fail(f"expected {word!r}, got {tok!r}", col)
 
     def number(self, what: str) -> float:
         tok, col = self.take(what)
         try:
             return _to_float(tok)
         except ValueError:
-            raise ParseError(
-                f"bad number {tok!r} for {what}", line=self.line_no, column=col
-            ) from None
+            raise self.fail(f"bad number {tok!r} for {what}", col) from None
 
     def site(self, what: str) -> int:
         tok, col = self.take(what)
         try:
             return int(tok)
         except ValueError:
-            raise ParseError(
-                f"bad site label {tok!r} for {what}", line=self.line_no, column=col
-            ) from None
+            raise self.fail(f"bad site label {tok!r} for {what}", col) from None
 
     def end(self) -> None:
         if not self.done():
             tok, col = self.tokens[self.pos]
-            raise ParseError(f"unexpected trailing token {tok!r}", line=self.line_no, column=col)
+            raise self.fail(f"unexpected trailing token {tok!r}", col)
 
 
 def _parse_state_clause(cur: _Cursor) -> tuple[str, list[float], list[str]]:
     kind, col = cur.take("state family")
     if kind not in _FAMILIES:
-        raise ParseError(
-            f"unknown state family {kind!r} (choose from {sorted(_FAMILIES)})",
-            line=cur.line_no,
-            column=col,
-        )
+        raise cur.fail(f"unknown state family {kind!r} (choose from {sorted(_FAMILIES)})", col)
     _, n_params, n_sites = _FAMILIES[kind]
     params = [cur.number(f"{kind} parameter {i + 1}") for i in range(n_params)]
     cur.keyword("parties")
@@ -174,24 +166,22 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> PreparedProto
         tokens = _tokenize(line)
         if not tokens:
             continue
-        if target is not None:
-            raise ParseError("directives after target", line=line_no, column=tokens[0][1])
         cur = _Cursor(tokens, line_no)
+        if target is not None:
+            raise cur.fail("directives after target", tokens[0][1])
         directive, col = cur.take("directive")
         if directive in ("attach", "step", "target") and state is None:
-            raise ParseError(f"{directive} before state", line=line_no, column=col)
+            raise cur.fail(f"{directive} before state", col)
 
         if directive == "state":
             if state is not None:
-                raise ParseError(
-                    "state already declared (use attach to extend)", line=line_no, column=col
-                )
+                raise cur.fail("state already declared (use attach to extend)", col)
             kind, params, parties = _parse_state_clause(cur)
             state = _family_state(kind, params, Register.for_parties(*parties), line_no)
 
         elif directive == "attach":
             if steps:
-                raise ParseError("attach must precede steps", line=line_no, column=col)
+                raise cur.fail("attach must precede steps", col)
             kind, params, parties = _parse_state_clause(cur)
             reg = Register.for_parties(*parties, start=state.n_sites + 1)
             state = tensor(state, _family_state(kind, params, reg, line_no))
@@ -210,7 +200,7 @@ def parse_protocol_file(text: str, name: str = "protocol-file") -> PreparedProto
                 raise SemanticError(exc.reason, line=at) from exc
 
         else:
-            raise ParseError(f"unknown directive {directive!r}", line=line_no, column=col)
+            raise cur.fail(f"unknown directive {directive!r}", col)
 
     if state is None:
         raise ParseError("missing state")
@@ -229,17 +219,13 @@ def _parse_step(cur: _Cursor) -> Step:
         cur.keyword("basis")
         basis, bcol = cur.take("basis name")
         if basis not in ("Z", "X"):
-            raise ParseError(
-                f"basis must be Z or X, got {basis!r}", line=cur.line_no, column=bcol
-            )
+            raise cur.fail(f"basis must be Z or X, got {basis!r}", bcol)
         accept = "*"
         if not cur.done():
             cur.keyword("accept")
             accept, acol = cur.take("accept token")
             if accept not in ("0", "1", "*"):
-                raise ParseError(
-                    f"accept must be 0, 1 or *, got {accept!r}", line=cur.line_no, column=acol
-                )
+                raise cur.fail(f"accept must be 0, 1 or *, got {accept!r}", acol)
         cur.end()
         return Measure(party, site, basis, accept)
     if kind == "cnot":
@@ -259,9 +245,7 @@ def _parse_step(cur: _Cursor) -> Step:
         far = cur.site("far pair site")
         cur.end()
         return Teleport(source, near, far)
-    raise ParseError(
-        f"unknown step kind {kind!r} (measure, cnot or teleport)", line=cur.line_no, column=kcol
-    )
+    raise cur.fail(f"unknown step kind {kind!r} (measure, cnot or teleport)", kcol)
 
 
 def _parse_target(cur: _Cursor, survivors: tuple[int, ...]) -> Target:
@@ -284,6 +268,4 @@ def _parse_target(cur: _Cursor, survivors: tuple[int, ...]) -> Target:
             )
         reg = Register(survivors, tuple(parties))
         return Target("exact", state=_family_state(kind, params, reg, cur.line_no))
-    raise ParseError(
-        f"unknown target mode {mode!r} (ghz-lu or exact)", line=cur.line_no, column=mcol
-    )
+    raise cur.fail(f"unknown target mode {mode!r} (ghz-lu or exact)", mcol)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass, fields
@@ -35,6 +36,7 @@ NORM_TOL = 1e-9
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 RANK_TOL = 1e-10
+_SQRT_HALF = 1 / np.sqrt(2)  # each amplitude of ghz and epr, computed once
 
 
 @dataclass(frozen=True)
@@ -211,6 +213,15 @@ def _rank(sv: np.ndarray, scale: float = 0.0) -> int | np.ndarray:
 # named families
 
 
+def _basis_state(register: Register, amplitudes: Mapping[int, complex]) -> PureState:
+    """The state on ``register`` with ``amplitudes[index]`` at each listed
+    basis index and zero elsewhere."""
+    amps = np.zeros(register.dim, dtype=np.complex128)
+    for index, amplitude in amplitudes.items():
+        amps[index] = amplitude
+    return PureState(register, amps)
+
+
 def _require_sites(register: Register, n: int, what: str) -> None:
     if register.n_sites != n:
         raise WrongArity(f"{what} needs a {n}-site register, got {register.n_sites} sites")
@@ -228,12 +239,8 @@ def w_family(a: float, b: float, c: float, d: float, register: Register) -> Pure
         raise ConstraintViolation("w_family requires d >= 0")
     if abs((a + b + c + d) - 1.0) > NORM_TOL:
         raise ConstraintViolation(f"w_family weights sum to {a + b + c + d!r}, not 1")
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0b100] = np.sqrt(a)
-    amps[0b010] = np.sqrt(b)
-    amps[0b001] = np.sqrt(c)
-    amps[0b000] = np.sqrt(d)
-    return PureState(register, amps)
+    # math.sqrt rounds as np.sqrt does, without its per-call overhead
+    return _basis_state(register, {0b100: math.sqrt(a), 0b010: math.sqrt(b), 0b001: math.sqrt(c), 0b000: math.sqrt(d)})
 
 
 def w_state(register: Register) -> PureState:
@@ -244,17 +251,13 @@ def w_state(register: Register) -> PureState:
 def ghz(register: Register) -> PureState:
     """``(|000> + |111>)/sqrt(2)``."""
     _require_sites(register, 3, "ghz")
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[0] = amps[7] = 1 / np.sqrt(2)
-    return PureState(register, amps)
+    return _basis_state(register, dict.fromkeys((0b000, 0b111), _SQRT_HALF))
 
 
 def epr(register: Register) -> PureState:
     """``(|00> + |11>)/sqrt(2)``."""
     _require_sites(register, 2, "epr")
-    amps = np.zeros(4, dtype=np.complex128)
-    amps[0] = amps[3] = 1 / np.sqrt(2)
-    return PureState(register, amps)
+    return _basis_state(register, dict.fromkeys((0b00, 0b11), _SQRT_HALF))
 
 
 def computational(register: Register, bits: str | Sequence[int]) -> PureState:
@@ -262,12 +265,10 @@ def computational(register: Register, bits: str | Sequence[int]) -> PureState:
     bits = tuple(int(b) for b in bits)
     if len(bits) != register.n_sites or any(b not in (0, 1) for b in bits):
         raise ConstraintViolation(f"need {register.n_sites} bits, got {bits}")
-    amps = np.zeros(register.dim, dtype=np.complex128)
     idx = 0
     for b in bits:
         idx = (idx << 1) | b
-    amps[idx] = 1.0
-    return PureState(register, amps)
+    return _basis_state(register, {idx: 1.0})
 
 
 def ghz_class(

@@ -350,28 +350,35 @@ def test_cut_plan_gathers_exactly_the_transposed_cuts(pair):
         )
 
 
-@pytest.mark.parametrize(
-    "source, target, error, message",
-    [
-        pytest.param(
-            ghz(ABC), ghz(Register.of([(1, "A"), (2, "B"), (3, "D")])),
-            RegisterMismatch, r"party sets differ: \('A', 'B', 'C'\) vs \('A', 'B', 'D'\)", id="parties",
-        ),
-        pytest.param(
-            ghz(ABC), computational(Register.of([(1, "A"), (2, "A"), (3, "B"), (4, "C")]), "0000"),
-            RegisterMismatch, "party A holds different site counts", id="site counts",
-        ),
-        pytest.param(
-            HELD, HELD, WrongArity, r"needs two or more of them, got \('A',\)", id="one party",
-        ),
-    ],
-)
+MISMATCHED = [
+    pytest.param(
+        ghz(ABC), ghz(Register.of([(1, "A"), (2, "B"), (3, "D")])),
+        RegisterMismatch, r"party sets differ: \('A', 'B', 'C'\) vs \('A', 'B', 'D'\)", id="parties",
+    ),
+    pytest.param(
+        ghz(ABC), computational(Register.of([(1, "A"), (2, "A"), (3, "B"), (4, "C")]), "0000"),
+        RegisterMismatch, "party A holds different site counts", id="site counts",
+    ),
+    pytest.param(
+        HELD, HELD, WrongArity, r"needs two or more of them, got \('A',\)", id="one party",
+    ),
+]
+
+
+@pytest.mark.parametrize("source, target, error, message", MISMATCHED)
 def test_a_mismatched_pair_raises_on_every_call_and_plans_nothing(source, target, error, message):
     before = convert._cut_plan.cache_info().currsize
     for _ in range(2):
         with pytest.raises(error, match=message):
             splitting_bound(source, target)
     assert convert._cut_plan.cache_info().currsize == before
+
+
+@pytest.mark.parametrize("source, target, error, message", MISMATCHED)
+def test_a_mismatched_pair_gets_no_verdict(source, target, error, message):
+    # the verdict runs the bound's register check, with the same message
+    with pytest.raises(error, match=message):
+        catalysis_verdict(source, target)
 
 
 def test_the_cut_plan_memo_keeps_at_most_its_bound():

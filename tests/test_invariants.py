@@ -667,7 +667,15 @@ def test_the_bundled_verdicts_decompose_each_matrix_once(monkeypatch):
     assert len(calls) <= 97
 
 
-@pytest.mark.parametrize("theta", [0.1, 0.05, 0.03, 0.01])
+@pytest.mark.parametrize(
+    "theta",
+    [
+        0.1, 0.05, 0.03, 0.01,
+        pytest.param(0.003, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 15: the flattening ranks drop to 1 and the verdict reads impossible",
+        )),
+    ],
+)
 def test_near_w_ghz_class_states_stay_undetermined_against_ghz(theta):
     # GHZ class for every theta > 0, with two product terms as GHZ has; the
     # ranks read here keep singular values down to 2.5e-5 of the largest,

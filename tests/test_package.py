@@ -81,6 +81,25 @@ def test_reports_have_one_rule():
     assert sorted(to_dict) == ["BranchNode", "_Report"]
 
 
+def test_parse_errors_have_one_position_rule():
+    # a parse error with a line and column comes from _Cursor.fail alone;
+    # only the two whole-document errors, which have no line, are built
+    # elsewhere
+    tree = ast.parse((SRC / "protofile.py").read_text())
+    built = []
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            scopes = [(f"{top.name}.{m.name}", m) for m in top.body if isinstance(m, ast.FunctionDef)]
+        else:
+            scopes = [(getattr(top, "name", "<module>"), top)]
+        for owner, scope in scopes:
+            for node in ast.walk(scope):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ParseError":
+                    first = node.args[0] if node.args else None
+                    built.append(f"{owner}: {first.value}" if isinstance(first, ast.Constant) else owner)
+    assert sorted(built) == ["_Cursor.fail", "parse_protocol_file: missing state", "parse_protocol_file: missing target"]
+
+
 def test_ranks_have_one_rule():
     # every rank is decided by states._rank: it alone compares against
     # RANK_TOL, which SloccClass only reports, and invariants keeps no rank

@@ -632,15 +632,15 @@ def chained_tree(s, p):
     """``run_protocol`` written as a chain of the public primitives: every
     step and the target checked up front, then each branch calls
     ``measure``, ``apply_unitary`` or ``teleport`` itself."""
-    live, measured = s.register.sites, 0
+    live, measured = s.register, 0
     for i, step in enumerate(p.steps):
         _check_step(step, s.register, live, measured, i)
         if isinstance(step, Measure):
-            live = tuple(x for x in live if x != step.site)
+            live = live.without((step.site,))
             measured += 1
         elif isinstance(step, Teleport):
-            live = tuple(x for x in live if x not in (step.source, step.near))
-    _check_target(s, p.target, live)
+            live = live.without((step.source, step.near))
+    _check_target(s, p.target, live.sites)
 
     def expand(state, record, prob, idx):
         for j in range(idx, len(p.steps)):

@@ -20,8 +20,9 @@ paired_runs = _load("paired_runs")
 
 def _runs(parent: list[float], change: list[float], name: str = "job_tail_ms") -> dict:
     """Paired runs in which ``name`` reads ``parent[k]`` and ``change[k]`` in
-    pair k and every other metric, and the passes, read 1 on both sides."""
-    flat = dict.fromkeys(paired_runs.METRICS + ("passes",), 1.0)
+    pair k and every other metric, and the passes, read 1 on both sides;
+    every run is correct and fails nothing."""
+    flat = {**dict.fromkeys(paired_runs.METRICS + ("passes",), 1.0), "correct": True, "failed": 0}
     return {
         str(k): {"parent": {**flat, name: p}, "change": {**flat, name: c}}
         for k, (p, c) in enumerate(zip(parent, change))
@@ -49,6 +50,26 @@ def test_summarize_shows_a_gain_by_the_documented_rule(change, lower_in, shown):
     assert row["gain_shown"] is shown
     assert row["parent_median"] == 3.2
     assert row["parent_quartiles"] == [3.075, 3.325]
+
+
+@pytest.mark.parametrize(
+    "parent_failed, change, shown",
+    [
+        (0, {"failed": 0}, True),
+        (2, {"failed": 2}, True),
+        (0, {"failed": 1}, False),
+        (0, {"correct": False}, False),
+    ],
+)
+def test_summarize_shows_no_gain_beside_a_failing_change_run(parent_failed, change, shown):
+    # one pair out of ten: the change run fails more than its parent run,
+    # or is wrong, which rejects the change whatever its times
+    runs = _runs(PARENT, [2.0] * 10)
+    runs["3"]["parent"]["failed"] = parent_failed
+    runs["3"]["change"].update(change)
+    summary = paired_runs.summarize(runs, {})
+    assert summary["job_tail_ms"]["gain_shown"] is shown
+    assert summary["failed"] == {"parent": parent_failed, "change": runs["3"]["change"]["failed"]}
 
 
 def test_summarize_shows_no_gain_on_fewer_than_ten_pairs():
