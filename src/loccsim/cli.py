@@ -259,7 +259,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         # the report path is opened before the command runs, so an unwritable
         # one fails first; a failed command leaves it as it was
-        with ReportFile(args.json) if args.json else contextlib.nullcontext() as report:
+        with ReportFile(args.json) if args.json is not None else contextlib.nullcontext() as report:
             code, doc = args.func(args)
             if report:
                 text = json.dumps(doc, indent=2) + "\n"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceeded, NotAProbabilityVector, RegisterMismatch, WrongArity
 from .invariants import PartyTensor, ProbeConfig, product_term_estimate
-from .states import PureState, _Report
+from .states import PureState, _Report, _unfold
 
 ZERO_TAIL = 1e-12
 
@@ -131,7 +131,7 @@ def _cut_plan(source: tuple[str, ...], target: tuple[str, ...]) -> tuple[tuple[s
     for dim, group in groups.items():
         # sites by their party's place in the rows then the columns, in register order within a party
         sites = [sorted(range(len(ps)), key=lambda i: cut.index(ps[i])) for ps in (source, target) for _, cut in group]
-        index = np.stack([np.arange(size).reshape((2,) * len(s)).transpose(s).reshape(dim, -1) for s in sites])
+        index = np.stack([_unfold(np.arange(size).reshape((2,) * len(s)), s).reshape(dim, -1) for s in sites])
         index[len(group) :] += size
         index.setflags(write=False)
         plan.append((tuple(key for key, _ in group), index))

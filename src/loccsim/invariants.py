@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, ConstraintViolation, WrongArity
-from .states import NORM_TOL, RANK_TOL, PureState, _rank, _Report
+from .states import NORM_TOL, RANK_TOL, PureState, _rank, _Report, _unfold
 
 CLASS_TOL = 1e-8
 # a fit whose residual is below FIT_TOL converged: it proves at most its rank
@@ -79,13 +79,7 @@ def _party_axes(s: PureState) -> tuple[tuple[str, ...], np.ndarray]:
     appear in register order, first site most significant."""
     labels, parties = s.register.party_labels(), s.register.parties
     order = sorted(range(len(parties)), key=parties.__getitem__)  # stable: register order within a party
-    return labels, s.tensor_view().transpose(order).reshape([2 ** parties.count(p) for p in labels])
-
-
-def _unfold(t: np.ndarray, mode: int) -> np.ndarray:
-    n = t.ndim
-    order = (mode,) + tuple(o for o in range(n) if o != mode)
-    return np.transpose(t, order).reshape(t.shape[mode], -1)
+    return labels, _unfold(s.tensor_view(), order).reshape([2 ** parties.count(p) for p in labels])
 
 
 @lru_cache(maxsize=64)
@@ -96,7 +90,7 @@ def _unfolding_plan(shape: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], np.n
     plan = []
     for d in set(shape):
         modes = tuple(m for m, other in enumerate(shape) if other == d)
-        index = np.stack([_unfold(entries, m) for m in modes])
+        index = np.stack([_unfold(entries, (m,)) for m in modes])
         index.setflags(write=False)
         plan.append((modes, index))
     return tuple(plan)
@@ -257,8 +251,8 @@ def cp_rank_probe(t: PartyTensor, r: int, config: ProbeConfig | None = None) -> 
     draws = [rng.standard_normal((2, nrest, d, cap))[..., :r] for d in data.shape]
     factors = [((re + 1j * im) / np.sqrt(2)).transpose(0, 2, 1) for re, im in draws]
     others = [[o for o in range(n) if o != m] for m in range(n)]
-    unfolds_conj = [_unfold(data, m).conj() for m in range(n)]
-    target = _unfold(data, n - 1)[None]
+    unfolds_conj = [_unfold(data, (m,)).conj() for m in range(n)]
+    target = _unfold(data, (n - 1,))[None]
     grams = [f.conj() @ f.transpose(0, 2, 1) for f in factors]
 
     best = np.full(nrest, np.inf)

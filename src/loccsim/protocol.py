@@ -7,10 +7,11 @@ remaining sites.  Teleportation is collapsed to its deterministic net effect
 data, checked with ``_check_step`` and planned on its register before any
 branch runs; the last ``PLAN_MEMO_SIZE`` plans that passed are kept by the
 value of every field the check reads, so the same steps on the same register
-are checked once.  Branches run array kernels, which the primitives
-(``measure``, ``apply_unitary``, ``teleport``) call after the same check;
-per branch only a teleport's test that its pair holds the resource state
-runs, as that depends on the branch.
+are checked once.  A plan keeps read-only index arrays from ``states._unfold``,
+not transpose orders, and branches run gathers through them, which the
+primitives (``measure``, ``apply_unitary``, ``teleport``) call after the same
+check; per branch only a teleport's test that its pair holds the resource
+state runs, as that depends on the branch.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from .errors import (
     NotUnitary,
     SiteOwnership,
 )
-from .invariants import _tangle, _unfold
-from .states import PureState, Register, _cut, _doc, _Report
+from .invariants import _tangle
+from .states import PureState, Register, _cut, _doc, _Report, _unfold
 
 BRANCH_DROP = 1e-14
 UNITARY_TOL = 1e-10
@@ -158,6 +159,13 @@ def _resolve_basis(basis, step) -> np.ndarray:
     return _NAMED_BASES[basis.upper()]
 
 
+def _site_index(live: Register, *sites: int) -> np.ndarray:
+    """The read-only index gathering amplitudes on ``live`` into rows over ``sites`` (``states._unfold``)."""
+    index = _unfold(np.arange(live.dim).reshape((2,) * live.n_sites), [live.axis_of(x) for x in sites])
+    index.setflags(write=False)
+    return index
+
+
 def _check_step(step: Step, reg: Register, live: Register, measured: int, i=None):
     """Check one step against register ``reg``, of which the sites of
     register ``live`` are still live, on branches whose outcome records have
@@ -200,39 +208,31 @@ def _check_step(step: Step, reg: Register, live: Register, measured: int, i=None
         rows = _resolve_basis(step.basis, i)
         if step.accept not in ("0", "1", "*"):
             raise MalformedProtocol(f"bad accept token {step.accept!r}", step=i)
-        ax = live.axis_of(step.site)
-        return ((2**ax, 2, 2 ** (live.n_sites - ax - 1)), rows), (step.site,)
-
-    def front(*sites: int) -> tuple[int, ...]:
-        axes = tuple(live.axis_of(x) for x in sites)
-        return axes + tuple(a for a in range(live.n_sites) if a not in axes)
-
-    shape = (2,) * live.n_sites
+        return (_site_index(live, step.site), rows), (step.site,)
     if isinstance(step, Unitary):
         u = _checked_unitary(step.matrix, len(sites), i)
         when = step.when
         if when is not None and not (isinstance(when, str) and len(when) == measured and set(when) <= set("01*")):
             raise MalformedProtocol(f"when must be a pattern of {measured} characters 0, 1 or *, got {when!r}", step=i)
-        order = front(*sites)
-        return (u, shape, order, tuple(np.argsort(order).tolist())), ()
-    return (shape, front(step.near, step.far), front(step.source, step.near)), (step.source, step.near)
+        return (u, _site_index(live, *sites)), ()
+    pair, through = _site_index(live, step.near, step.far), _site_index(live, step.source, step.near)
+    return (pair, through, (int(step.near), int(step.far))), (step.source, step.near)
 
 
 def _measure(s: PureState, args, reg: Register) -> list[tuple[str, float, PureState]]:
-    """Both outcomes at once: the outcome bras times the amplitudes as an
-    ``(L, 2, R)`` array around the measured axis; post-states live on ``reg``."""
-    shape, rows = args
-    out = rows @ s.amplitudes.reshape(shape)
-    probs = np.einsum("ikj,ikj->k", out, out.conj()).real.tolist()
-    kept = [(k, p) for k, p in enumerate(probs) if p >= BRANCH_DROP]
-    return [(str(k), p, PureState(reg, out[:, k].reshape(-1) / np.sqrt(p))) for k, p in kept]
+    """Both outcomes at once, the outcome bras times the gathered amplitudes; post-states on ``reg``."""
+    index, rows = args
+    out = rows @ s.amplitudes[index]
+    probs = np.einsum("kj,kj->k", out, out.conj()).real.tolist()
+    return [(str(k), p, PureState(reg, out[k] / np.sqrt(p))) for k, p in enumerate(probs) if p >= BRANCH_DROP]
 
 
 def _unitary(s: PureState, args) -> PureState:
-    """``u`` times the amplitudes with the unitary's sites brought to the front."""
-    u, shape, order, inverse = args
-    t = s.amplitudes.reshape(shape).transpose(order).reshape(len(u), -1)
-    return PureState(s.register, (u @ t).reshape(shape).transpose(inverse).reshape(-1))
+    """``u`` times the gathered amplitudes, scattered back through the same index."""
+    u, index = args
+    out = np.empty_like(s.amplitudes)
+    out[index] = u @ s.amplitudes[index]
+    return PureState(s.register, out)
 
 
 _EPR_PROJECTOR = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
@@ -241,16 +241,14 @@ _EPR_PROJECTOR = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2
 def _teleport(s: PureState, args, reg: Register) -> PureState:
     """Test that the pair holds the resource state on this ``s``, then take
     the teleport's net effect; the result lives on ``reg``."""
-    shape, pair, through = args
-    t = s.amplitudes.reshape(shape)
-    m = t.transpose(pair).reshape(4, -1)
+    pair, through, sites = args
+    m = s.amplitudes[pair]
     # the projector is symmetric under swapping the pair, so site order is moot
     if not np.abs(m @ m.conj().T - _EPR_PROJECTOR).max() <= EPR_TOL:
-        sites = (s.register.sites[pair[0]], s.register.sites[pair[1]])
         raise NotAnEprResource(f"sites {sites} are not in the maximally entangled pair state")
     # project (source, near) onto the maximally entangled bra and rescale:
     # for a resource pair this is exactly the identity channel onto far
-    m = t.transpose(through).reshape(4, -1)
+    m = s.amplitudes[through]
     v = (m[0] + m[3]) * _SQ2
     return PureState(reg, v / np.sqrt(np.vdot(v, v).real))
 
@@ -403,7 +401,7 @@ def _check_target(s: PureState, tgt: Target, final: tuple[int, ...]) -> None:
 
 
 # the single-site unfoldings of a 2x2x2 array, as indices into its 8 entries
-_UNFOLD3 = np.stack([_unfold(np.arange(8).reshape(2, 2, 2), k) for k in range(3)])
+_UNFOLD3 = np.stack([_unfold(np.arange(8).reshape(2, 2, 2), (k,)) for k in range(3)])
 
 
 def _ghz_lu_success(leaf: PureState, sites: tuple[int, int, int]) -> bool:

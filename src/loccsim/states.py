@@ -6,6 +6,8 @@ Conventions used throughout the package:
 * a register is an ordered list of integer site labels, each owned by one party;
 * the first site in register order is the most significant bit of the
   amplitude index, so ``|b1 b2 ... bn>`` sits at index ``sum(b_i << (n-i))``;
+* ``_unfold`` is the one layout rule: every cut, unfolding and kernel index
+  reads an array as a matrix through it, and plans keep its index arrays;
 * states are stored as unit-norm complex vectors of length ``2**n``.
 """
 
@@ -37,6 +39,7 @@ HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 RANK_TOL = 1e-10
 _SQRT_HALF = 1 / np.sqrt(2)  # each amplitude of ghz and epr, computed once
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # the bits computational reads
 
 
 @dataclass(frozen=True)
@@ -261,14 +264,13 @@ def epr(register: Register) -> PureState:
 
 
 def computational(register: Register, bits: str | Sequence[int]) -> PureState:
-    """Computational basis state, e.g. ``computational(reg, "00")``."""
-    bits = tuple(int(b) for b in bits)
-    if len(bits) != register.n_sites or any(b not in (0, 1) for b in bits):
-        raise ConstraintViolation(f"need {register.n_sites} bits, got {bits}")
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | b
-    return _basis_state(register, {idx: 1.0})
+    """Computational basis state, e.g. ``computational(reg, "00")``; a bit is 0, 1, "0" or "1"."""
+    bits = tuple(bits)
+    # a float or a bool equal to 0 or 1 is no bit
+    valid = all(isinstance(b, (str, int, np.integer)) and not isinstance(b, bool) and b in _BITS for b in bits)
+    if len(bits) != register.n_sites or not valid:
+        raise ConstraintViolation(f"need {register.n_sites} bits, each 0 or 1, got {bits}")
+    return _basis_state(register, {int("".join(str(_BITS[b]) for b in bits), 2): 1.0})
 
 
 def ghz_class(
@@ -313,13 +315,18 @@ def tensor(s1: PureState, s2: PureState) -> PureState:
     return PureState(reg, np.outer(s1.amplitudes, s2.amplitudes).reshape(-1))
 
 
+def _unfold(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """The one layout rule: ``t`` as a matrix whose rows run over ``axes`` in
+    the order given, first most significant, and columns over the rest in order."""
+    rest = [ax for ax in range(t.ndim) if ax not in axes]
+    return t.transpose([*axes, *rest]).reshape(math.prod(t.shape[ax] for ax in axes), -1)
+
+
 def _cut(s: PureState, rows: Sequence[int]) -> np.ndarray:
     """The amplitudes of ``s`` as a matrix: the row index runs over the sites
     ``rows`` in the order given, first site most significant, and the column
     index over the other sites in register order."""
-    axes = [s.register.axis_of(x) for x in rows]
-    rest = [ax for ax in range(s.n_sites) if ax not in axes]
-    return np.transpose(s.tensor_view(), axes + rest).reshape(2 ** len(axes), -1)
+    return _unfold(s.tensor_view(), [s.register.axis_of(x) for x in rows])
 
 
 def reduced_density_sites(s: PureState, keep_sites: Sequence[int]) -> DensityMatrix:

@@ -515,6 +515,7 @@ USAGE_ERRORS = {
     "points-non-numeric": ["sweep", "prop3", "--from", "0.34", "--to", "0.45", "--points", "x"],
     "demo-negative-seed": ["demo", "prop1", "--seed", "-1"],
     "verdict-negative-seed": ["verdict", "s.json", "t.json", "--seed", "-5"],
+    "json-empty-path": ["classify", "s.json", "--json", ""],
 }
 
 

@@ -16,13 +16,14 @@ from loccsim.convert import (
     vidal_probability,
 )
 from loccsim.errors import LoccSimError, NotAProbabilityVector, RegisterMismatch, WrongArity
-from loccsim.invariants import PartyTensor, ProductTermEstimate, _party_axes, _unfold, flattening_ranks
+from loccsim.invariants import PartyTensor, ProductTermEstimate, _party_axes, flattening_ranks
 from loccsim.prebuilt import bipartite_catalysis_pair, prop3_input, prop3_target
 from loccsim.states import (
     DensityMatrix,
     PureState,
     Register,
     _rank,
+    _unfold,
     computational,
     epr,
     ghz,
@@ -346,7 +347,7 @@ def test_cut_plan_gathers_exactly_the_transposed_cuts(pair):
     for s in pair:
         t = PartyTensor.from_state(s)
         assert flattening_ranks(t) == tuple(
-            _rank(np.linalg.svd(_unfold(t.data, m), compute_uv=False)) for m in range(t.data.ndim)
+            _rank(np.linalg.svd(_unfold(t.data, (m,)), compute_uv=False)) for m in range(t.data.ndim)
         )
 
 

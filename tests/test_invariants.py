@@ -24,7 +24,6 @@ from loccsim.invariants import (
     ProductTermEstimate,
     RankProbeResult,
     SloccClass,
-    _unfold,
     cp_rank_probe,
     flattening_ranks,
     product_term_estimate,
@@ -38,6 +37,7 @@ from loccsim.states import (
     Register,
     _rank,
     _sig12,
+    _unfold,
     apply_site_ops,
     computational,
     epr,
@@ -190,7 +190,7 @@ def test_flattening_ranks_take_one_svd_per_unfolding_shape(shape, calls, monkeyp
     ranks = flattening_ranks(t)
     assert len(seen) == calls
     # each rank as one SVD of its own matricization gives it
-    assert ranks == tuple(_rank(svd(_unfold(t.data, m), compute_uv=False)) for m in range(3)) == shape
+    assert ranks == tuple(_rank(svd(_unfold(t.data, (m,)), compute_uv=False)) for m in range(3)) == shape
 
 
 def test_flattening_ranks_product_state():

@@ -119,6 +119,34 @@ def test_ranks_have_one_rule():
     assert helpers == []
 
 
+def test_layouts_have_one_rule():
+    # every cut, unfolding and kernel index is laid out by states._unfold: it
+    # alone transposes by computed axes, and no other module defines it; the
+    # transposes by literal axes and the two moveaxis calls slice stacks of
+    # matrices rather than lay one out
+    computed, moved, defined = [], [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            where = f"{path.name}:{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if isinstance(node, ast.FunctionDef) and node.name == "_unfold":
+                    defined.append(path.name)
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                    continue
+                if node.func.attr == "moveaxis":
+                    moved.append(where)
+                elif node.func.attr == "transpose":
+                    # np.transpose takes the array first, the method only the axes
+                    args = node.args[1:] if getattr(node.func.value, "id", None) == "np" else node.args
+                    axes = [x for a in args + [k.value for k in node.keywords] for x in getattr(a, "elts", [a])]
+                    if not all(isinstance(x, ast.Constant) and type(x.value) is int for x in axes):
+                        computed.append(where)
+    assert computed == ["states.py:_unfold"]
+    assert defined == ["states.py"]
+    assert sorted(moved) == ["invariants.py:_exact_fit", "invariants.py:_normalized_slices"]
+
+
 def test_probe_config_is_read_by_the_probe_alone():
     # the probe settings mean something only where ALS runs: ProbeConfig
     # checks them, cp_rank_probe reads them, and no record copies them out

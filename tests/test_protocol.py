@@ -12,7 +12,7 @@ from loccsim.errors import (
     NotUnitary,
     SiteOwnership,
 )
-from loccsim.invariants import _tangle, _unfold
+from loccsim.invariants import _tangle
 from loccsim.prebuilt import (
     ghz_plus_epr_to_any,
     ghz_to_epr,
@@ -21,6 +21,7 @@ from loccsim.prebuilt import (
     prop3_b,
     prop3_c,
     prop3_input,
+    prop3_target,
 )
 from loccsim.protocol import (
     BASIS_X,
@@ -46,12 +47,14 @@ from loccsim.states import (
     PureState,
     Register,
     _cut,
+    _unfold,
     apply_site_ops,
     computational,
     epr,
     ghz,
     schmidt,
     tensor,
+    w_family,
     w_state,
 )
 
@@ -314,6 +317,73 @@ def test_teleport_site_checks():
 
 
 # ---------------------------------------------------------------------------
+# the gather kernels against the transposes they replaced
+
+
+def front(reg, sites):
+    axes = tuple(reg.axis_of(x) for x in sites)
+    return axes + tuple(a for a in range(reg.n_sites) if a not in axes)
+
+
+def transposed_measure(s, site, rows):
+    """(outcome, probability, post-state amplitudes) of both outcomes, from
+    the outcome bras times the amplitudes as an (L, 2, R) array."""
+    ax = s.register.axis_of(site)
+    out = rows @ s.amplitudes.reshape(2**ax, 2, -1)
+    probs = np.einsum("ikj,ikj->k", out, out.conj()).real.tolist()
+    return [(str(k), p, out[:, k].reshape(-1) / np.sqrt(p)) for k, p in enumerate(probs) if p >= protocol.BRANCH_DROP]
+
+
+def transposed_unitary(s, sites, u):
+    shape, order = (2,) * s.n_sites, front(s.register, sites)
+    t = s.amplitudes.reshape(shape).transpose(order).reshape(len(u), -1)
+    return (u @ t).reshape(shape).transpose(tuple(np.argsort(order).tolist())).reshape(-1)
+
+
+def transposed_teleport(s, source, near):
+    m = s.tensor_view().transpose(front(s.register, (source, near))).reshape(4, -1)
+    v = (m[0] + m[3]) * np.sqrt(2.0)
+    return v / np.sqrt(np.vdot(v, v).real)
+
+
+def random_state(rng, sites):
+    # one party holds every site, so any step passes the ownership checks
+    v = rng.normal(size=2 ** len(sites)) + 1j * rng.normal(size=2 ** len(sites))
+    return PureState(Register(tuple(sites), ("A",) * len(sites)), v / np.linalg.norm(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_gather_kernels_equal_the_transposes_they_replaced(sites, seed, data):
+    rng = np.random.default_rng(seed)
+    s = random_state(rng, sites)
+    # a unitary on 1-3 sites in any order, adjacent in the register or not
+    acting = data.draw(st.lists(st.sampled_from(sites), min_size=1, max_size=3, unique=True))
+    dim = 2 ** len(acting)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    assert np.array_equal(apply_unitary(s, "A", acting, u).amplitudes, transposed_unitary(s, acting, u))
+    # a measurement of any site in a named or a drawn basis
+    site, basis = data.draw(st.sampled_from(sites)), data.draw(st.sampled_from(("Z", "X", "drawn")))
+    rows = haar_unitary(rng) if basis == "drawn" else {"Z": protocol.BASIS_Z, "X": BASIS_X}[basis]
+    got, want = measure(s, "A", site, rows), transposed_measure(s, site, rows)
+    assert [k for k, _, _ in got] == [k for k, _, _ in want]
+    for (_, p, post), (_, q, amps) in zip(got, want):
+        if s.register.axis_of(site) == 0:  # one (2, 2) @ (2, R) product and one sum, as before
+            assert p == q and np.array_equal(post.amplitudes, amps)
+        else:  # one product and one sum over L*R columns, not L batches of R: round-off apart
+            assert abs(p - q) <= 1e-14 and np.allclose(post.amplitudes, amps, rtol=0, atol=1e-14)
+    # a teleport through a resource pair whose sites fall in either order in the register
+    source, near, far = data.draw(st.permutations(sites))[:3]
+    rest = [x for x in sites if x not in (near, far)]
+    full = tensor(random_state(rng, rest), epr(Register((near, far), ("A", "A")))).permuted(sites)
+    assert np.array_equal(teleport(full, source, (near, far)).amplitudes, transposed_teleport(full, source, near))
+
+
+# ---------------------------------------------------------------------------
 # the runner
 
 
@@ -420,7 +490,7 @@ def svd_ghz_lu_success(leaf, sites):
     if np.sum(sv**4) < 1.0 - 1e-9:
         return False
     triple = u[:, 0].reshape(2, 2, 2)
-    probs = np.linalg.svd(np.stack([_unfold(triple, m) for m in range(3)]), compute_uv=False) ** 2
+    probs = np.linalg.svd(np.stack([_unfold(triple, (m,)) for m in range(3)]), compute_uv=False) ** 2
     return np.max(np.abs(probs - 0.5)) <= 1e-9 and abs(_tangle(triple) - 1.0) <= 1e-9
 
 
@@ -717,6 +787,18 @@ def test_run_checks_each_step_once(build, n_steps, checks):
     assert len(checks) == n_steps
 
 
+def test_kept_plans_hold_read_only_index_arrays(checks):
+    # a branch gathers through its plan's index arrays, so no run may change them
+    prop3(0.4).run()
+    intro_teleport().run()
+    entries = [(step, args) for plan, _ in protocol._PLANS.values() for step, args, _ in plan]
+    kinds = [type(step) for step, _ in entries]
+    assert {Measure, Unitary, Teleport} <= set(kinds)
+    indices = [a for _, args in entries for a in args if isinstance(a, np.ndarray) and a.dtype.kind == "i"]
+    assert len(indices) == len(kinds) + kinds.count(Teleport)
+    assert not any(index.flags.writeable for index in indices)
+
+
 def _memo_case(state=None, basis="X", accept="*", matrix=PAULI_Z, when="1"):
     # ghz_to_epr, with each value the plan key reads open to change
     state = state or ghz(ABC)
@@ -912,12 +994,33 @@ def test_ghz_plus_epr_to_any_meets_the_splitting_bound(parts):
 @settings(max_examples=20, deadline=None)
 @given(st.floats(min_value=1 / 3, max_value=0.499))
 def test_prop3_probability_matches_bound_family(a):
-    from loccsim.prebuilt import prop3_target
-
     result = prop3(a).run()
     bound = splitting_bound(prop3_input(a), prop3_target()).bound
     assert result.success_probability <= bound + 1e-9
     assert result.success_probability == pytest.approx(2 * a, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=3, max_size=3))
+def test_filtered_pair_conversion_meets_the_bound_where_a_is_at_most_b(weights):
+    # Proposition 3 off the symmetric family: the one-pair steps on
+    # w_family(a, b, c, 0), then A filters the larger of the weights a, b
+    # down to the smaller with a rotation of an ancilla (site 6) conditioned
+    # on site 1, accepting the ancilla's 0; that reaches 2 min(a, b), and the
+    # bound 2 min(a, 1 - a) exactly where a <= b
+    a, b, c = np.array(weights) / sum(weights)
+    ancilla = computational(Register.of([(6, "A")]), "0")
+    state = tensor(tensor(w_family(a, b, c, 0.0, ABC), epr(Register.of([(4, "B"), (5, "C")]))), ancilla)
+    cos = np.sqrt(min(a, b) / max(a, b))
+    rotation = np.array([[cos, -np.sqrt(1 - cos**2)], [np.sqrt(1 - cos**2), cos]])
+    filtered = 1 if a > b else 0  # the value of site 1 whose branch is filtered
+    u = np.kron(np.diag([1 - filtered, filtered]), rotation) + np.kron(np.diag([filtered, 1 - filtered]), np.eye(2))
+    steps = prop3(0.4).protocol.steps + (Unitary("A", (1, 6), u), Measure("A", 6, "Z", accept="0"))
+    p = run_protocol(state, Protocol(steps, Target("ghz-lu", sites=(1, 2, 5)))).success_probability
+    bound = splitting_bound(state, tensor(prop3_target("BC"), ancilla)).bound
+    assert abs(p - 2 * min(a, b)) <= 1e-12
+    assert abs(bound - 2 * min(a, 1 - a)) <= 1e-12
+    assert abs((bound - p) - (0.0 if a <= b else 2 * (min(a, 1 - a) - b))) <= 1e-12
 
 
 def test_branch_tree_serialization():

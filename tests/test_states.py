@@ -208,6 +208,12 @@ def test_computational_indexing():
     assert s.amplitudes[0b101] == pytest.approx(1.0)
     with pytest.raises(ConstraintViolation):
         computational(ABC, "10")
+    # only the integers 0 and 1 and the characters "0" and "1" are bits
+    ab = Register.for_parties("A", "B")
+    assert computational(ab, [1, np.int64(0)]).amplitudes[0b10] == 1.0
+    for bits in ([0, 1.5], [0, -0.9], "0x"):
+        with pytest.raises(ConstraintViolation):
+            computational(ab, bits)
 
 
 def test_ghz_class_reduces_to_ghz():
